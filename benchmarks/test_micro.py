@@ -13,7 +13,7 @@ import pytest
 
 from repro.autodiff import Tensor, no_grad
 from repro.core import (
-    DHSContext,
+    ContextState,
     DHSDynamics,
     dhs_attention,
     recover_z,
@@ -30,7 +30,7 @@ def problem():
     rng = np.random.default_rng(0)
     batch, n, d = 16, 48, 8
     z = Tensor(rng.normal(size=(batch, n, d)))
-    ctx = DHSContext(z, None, ridge=1e-6)
+    ctx = ContextState.build(z, None, ridge=1e-6)
     s, _ = dhs_attention(Tensor(rng.normal(size=(batch, d))), ctx.z, None)
     h2 = Tensor(rng.normal(size=(n,)))
     return ctx, s, h2
@@ -40,7 +40,7 @@ def test_bench_context_build(benchmark):
     rng = np.random.default_rng(0)
     z = Tensor(rng.normal(size=(16, 48, 8)))
     with no_grad():
-        benchmark(lambda: DHSContext(z, None))
+        benchmark(lambda: ContextState.build(z, None))
 
 
 def test_bench_max_hoyer_solver(benchmark, problem):

@@ -30,6 +30,10 @@
 #                            (REPRO_CHECKPOINT_GRADS=on), once with the
 #                            eager executor and once under replay
 #                            (REPRO_EXECUTOR=replay)
+#   scripts/test.sh perf     the end-to-end benchmark's own checks
+#                            (perfbench/test_perfbench.py): seed
+#                            reproducibility of the workloads and the
+#                            offline answer check
 #
 # Extra arguments after the lane go straight to pytest, e.g.
 #   scripts/test.sh fast tests/parallel -q
@@ -93,12 +97,16 @@ case "$lane" in
             benchmarks/test_serving.py -p no:cacheprovider \
             -m "tier2 or not tier2" "$@"
         ;;
+    perf)
+        exec python3 -m pytest perfbench/test_perfbench.py -q \
+            -p no:cacheprovider "$@"
+        ;;
     full)
         # Overrides the "not tier2" filter baked into addopts.
         exec python -m pytest -x -q -m "tier2 or not tier2" "$@"
         ;;
     *)
-        echo "usage: scripts/test.sh [fast|tier2|full|ir|codegen|batching|streaming|serving|adjoint] [pytest args...]" >&2
+        echo "usage: scripts/test.sh [fast|tier2|full|ir|codegen|batching|streaming|serving|adjoint|perf] [pytest args...]" >&2
         exit 2
         ;;
 esac

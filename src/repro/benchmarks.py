@@ -42,9 +42,9 @@ the two drivers' outputs agree.
 the batch-16 DHS dynamics microbench written the *naive* way -- the
 Eq. 32/34 context math ((Z^T)^+ via the Gram inverse, the null projector,
 ``A_p J``, the denominators, the ``h2`` slice) re-derived inside the RHS
-on every call, exactly the invariant subgraph ``DHSContext`` precomputes
-by hand.  It replays the solve under ``REPRO_IR_PASSES=none`` and
-``default`` and reports the NFE-normalized replay-RHS speedup from
+on every call, exactly the invariant subgraph ``ContextState.build``
+precomputes by hand.  It replays the solve under ``REPRO_IR_PASSES=none``
+and ``default`` and reports the NFE-normalized replay-RHS speedup from
 hoisting that derivation, a bit-compare of the two solutions, and an
 eager-vs-optimized-replay bit-compare of the gradients.
 
@@ -620,7 +620,8 @@ def passes_workload(batch: int = 16, n: int = 48, d: int = 8,
     math -- (Z^T)^+ via the Gram inverse, the null-space projector, the
     correction vector and its denominator -- is re-derived from the raw
     observation tensors inside every RHS call instead of being precomputed
-    once at bind time the way :class:`~repro.core.dhs.DHSContext` does it.
+    once at bind time the way :meth:`~repro.core.dhs.ContextState.build`
+    does it.
     That derivation only touches static-marked tensors, so it is exactly
     the invariant prefix the optimizing passes are expected to hoist; the
     p-solve, recovery and Eq. 12 coupling stay in the per-call body."""
@@ -645,7 +646,7 @@ def passes_workload(batch: int = 16, n: int = 48, d: int = 8,
     scale = 1.0 / np.sqrt(d)
 
     def rhs(t, s):
-        # -- invariant prefix: DHSContext's bind-time math, inlined ------
+        # -- invariant prefix: ContextState's bind-time math, inlined ----
         zt = z.transpose()                        # (B, d, n)
         gram = zt @ z + ridge                     # (B, d, d)
         zt_pinv = z @ gram.inv()                  # (B, n, d)

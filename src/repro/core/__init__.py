@@ -3,7 +3,6 @@
 from .config import DiffODEConfig
 from .dhs import (
     ContextState,
-    DHSContext,
     P_SOLVERS,
     dhs_attention,
     recover_z,
@@ -22,7 +21,6 @@ __all__ = [
     "DiffODEConfig",
     "DiffODE",
     "ContextState",
-    "DHSContext",
     "StreamPrediction",
     "StreamSession",
     "dhs_attention",

@@ -4,9 +4,10 @@ Implements Sections III-B and III-C of the paper:
 
 * :func:`dhs_attention` - Eq. 5: ``a = zZ^T/sqrt(d)``, ``p = softmax(a)``,
   ``S = pZ``.
-* :class:`DHSContext` - per-batch constants derived from ``Z`` that the ODE
-  right-hand side needs at every integration step: the Moore-Penrose inverse
-  ``(Z^T)^+`` and the null-space projector ``A_p = I - (Z^T)^+ Z^T``.
+* :class:`ContextState` - per-batch constants derived from ``Z`` that the
+  ODE right-hand side needs at every integration step: the Moore-Penrose
+  inverse ``(Z^T)^+``, the cached Eq. 32 terms and, for ``ada_h`` only, the
+  null-space projector ``A_p = I - (Z^T)^+ Z^T``.
 * the three strategies for recovering ``p_t`` from ``S_t`` (RQ5 / Table VI):
   ``max_hoyer`` (Theorem 2, closed form Eq. 32), ``min_norm`` (the plain
   least-norm solution ``b_p``), and ``ada_h`` (trainable ``h``);
@@ -32,7 +33,6 @@ from ..telemetry import get_registry
 __all__ = [
     "dhs_attention",
     "ContextState",
-    "DHSContext",
     "solve_p_min_norm",
     "solve_p_max_hoyer",
     "solve_p_adaptive",
@@ -73,13 +73,13 @@ def _exact_state_fields(z: Tensor, mask: np.ndarray | None,
                         ridge: float) -> dict:
     """Exact (from-scratch) computation of every context constant.
 
-    One shared implementation behind :meth:`ContextState.build`,
-    :meth:`ContextState.rebuild` and :class:`DHSContext` so an incremental
-    state rebuilt after drift is *bitwise identical* to a freshly
-    constructed context over the same observations.  The pseudo-inverse
-    replicates :func:`repro.linalg.pinv_full_row_rank` op for op (Gram +
-    ridge, then ``inv``), but keeps the intermediate Gram matrix and its
-    inverse for the rank-1 ``extend`` bookkeeping.
+    One shared implementation behind :meth:`ContextState.build` and
+    :meth:`ContextState.rebuild` so an incremental state rebuilt after
+    drift is *bitwise identical* to a freshly built context over the same
+    observations.  The pseudo-inverse replicates
+    :func:`repro.linalg.pinv_full_row_rank` op for op (Gram + ridge, then
+    ``inv``), but keeps the intermediate Gram matrix and its inverse for
+    the rank-1 ``extend`` bookkeeping.
     """
     z = as_tensor(z)
     batch, n, d = z.shape
@@ -123,14 +123,14 @@ class ContextState:
     Construction paths:
 
     * :meth:`build` - exact, differentiable Tensor computation (the
-      training path; what :class:`DHSContext` has always done);
+      training and offline inference path);
     * :meth:`extend` - Sherman-Morrison rank-1 update of the Gram inverse
       and ``(Z^T)^+`` for one new observation row, O(n d) numpy on
       detached values (the streaming/inference path), with a drift check
       ``max |G G^{-1} - I|`` that falls back to :meth:`rebuild` past
       ``drift_threshold``;
     * :meth:`rebuild` - exact recompute from the accumulated rows,
-      bitwise identical to a fresh :class:`DHSContext` over the same
+      bitwise identical to a fresh :meth:`build` over the same
       observations;
     * :meth:`take` - differentiable batch-row slice (union-grid
       bucketing).
@@ -200,9 +200,11 @@ class ContextState:
     def a_null(self) -> Tensor:
         """``A_p = diag(m) - (Z^T)^+ Z^T`` (B, n, n), built lazily.
 
-        Only the ``ada_h`` p-solver and the exact-KKT validation read the
-        full projector; everything else uses the cached ``A_p J`` columns,
-        so streaming states never pay the O(n^2) materialization.
+        Only the ``ada_h`` p-solver (which builds it in
+        :meth:`DHSDynamics.bind <repro.core.dynamics.DHSDynamics.bind>`) and
+        the exact-KKT validation read the full projector; everything else
+        uses the cached ``A_p J`` columns, so no other path pays the O(n^2)
+        materialization.
         """
         if self._a_null is None:
             batch, n = self.mask.shape
@@ -290,7 +292,7 @@ class ContextState:
         """Exact recompute over the accumulated rows.
 
         Returns a state bitwise identical (tensor data) to a fresh
-        :class:`DHSContext` built over the same ``z`` and mask; resets the
+        :meth:`build` over the same ``z`` and mask; resets the
         incremental drift to zero.  Counts as a new generation.
         """
         fields = _exact_state_fields(Tensor(self.z.data), self.mask,
@@ -329,51 +331,25 @@ class ContextState:
         return (self.zt_pinv @ s[:, :, None])[:, :, 0]
 
 
-class DHSContext(ContextState):
-    """Batch constants for integrating the DHS dynamics.
-
-    Built once per forward pass from the encoder output ``Z``; consumed by
-    every evaluation of the ODE right-hand side.  This is the exact,
-    differentiable construction path of :class:`ContextState` with the
-    null-space projector materialized eagerly (the historical contract:
-    ``ctx.a_null`` is a bind-time static external of RHS traces).
-
-    Attributes
-    ----------
-    z : Tensor (B, n, d)
-        Latent representations (masked rows are zero).
-    zt_pinv : Tensor (B, n, d)
-        ``(Z^T)^+`` computed with the full-row-rank identity.
-    a_null : Tensor (B, n, n)
-        ``A_p = diag(m) - (Z^T)^+ Z^T`` (null-space projector of ``Z^T``).
-    mask : ndarray (B, n)
-        Observation mask (all ones when no padding).
-    """
-
-    def __init__(self, z: Tensor, mask: np.ndarray | None = None,
-                 ridge: float = 1e-6):
-        fields = _exact_state_fields(z, mask, ridge)
-        ContextState.__init__(self, ridge=ridge, **fields)
-        mark_static(self.a_null)  # eager materialization (property caches)
-
-
-def solve_p_min_norm(ctx: DHSContext, s: Tensor, **_unused) -> Tensor:
+def solve_p_min_norm(ctx: ContextState, s: Tensor, **_unused) -> Tensor:
     """``minNorm`` variant: take ``p = b_p`` directly (Section IV-F)."""
     return ctx.least_norm_p(s)
 
 
-def solve_p_max_hoyer(ctx: DHSContext, s: Tensor, **_unused) -> Tensor:
+def solve_p_max_hoyer(ctx: ContextState, s: Tensor, **_unused) -> Tensor:
     """``maxHoyer`` variant: Theorem 2 closed form (Eq. 32).
 
     ``p^T = b_p - (J b_p - 1) A_p J / (J A_p J)`` with ``J -> mask``.
+    ``J b_p`` needs no mask: ``b_p`` is exactly zero on padded rows, whose
+    ``(Z^T)^+`` rows are zero.
     """
     b = ctx.least_norm_p(s)                                  # (B, n)
-    excess = (b * ctx.mask_t).sum(axis=-1, keepdims=True) - 1.0
+    excess = b.sum(axis=-1, keepdims=True) - 1.0
     correction = ctx._a_ones[:, :, 0] * (excess / ctx._denom)
     return b - correction
 
 
-def solve_p_adaptive(ctx: DHSContext, s: Tensor,
+def solve_p_adaptive(ctx: ContextState, s: Tensor,
                      h: Tensor | None = None, **_unused) -> Tensor:
     """``adaH`` variant: ``p = b_p + A_p h`` with a trainable ``h`` (Eq. 13)."""
     if h is None:
@@ -451,7 +427,7 @@ def solve_p_exact_kkt(b: np.ndarray, a: np.ndarray,
     return best_p
 
 
-def recover_z(p: Tensor, ctx: DHSContext, h2: Tensor) -> Tensor:
+def recover_z(p: Tensor, ctx: ContextState, h2: Tensor) -> Tensor:
     """Recover ``z_t`` from ``p_t`` (Eq. 34) via the O(n) closed form.
 
     With ``M = J_{n,1} p - I_n`` and ``p`` summing to one, ``M^2 = -M`` and
@@ -460,17 +436,17 @@ def recover_z(p: Tensor, ctx: DHSContext, h2: Tensor) -> Tensor:
 
         ``a_h = (h2 . p / p . p) p - J``,  ``z = sqrt(d) a_h (Z^T)^+``.
 
-    Equality with the literal pinv form is covered by the tests.
+    Equality with the literal pinv form is covered by the tests.  Every
+    p-solver returns ``p`` exactly zero on padded rows, so ``p`` is used
+    unmasked.
     """
-    mask = ctx.mask_t
-    p = p * mask
     pp = (p * p).sum(axis=-1, keepdims=True) + _EPS
     hp = (p * h2.reshape(-1)[None, :]).sum(axis=-1, keepdims=True)
-    a_h = p * (hp / pp) - mask
+    a_h = p * (hp / pp) - ctx.mask_t
     return (a_h[:, None, :] @ ctx.zt_pinv)[:, 0, :] * np.sqrt(ctx.d)
 
 
-def recover_z_literal(p: Tensor, ctx: DHSContext, h2: Tensor) -> Tensor:
+def recover_z_literal(p: Tensor, ctx: ContextState, h2: Tensor) -> Tensor:
     """Recover ``z_t`` (Eq. 34) literally, with an explicit Moore-Penrose
     inverse of ``(J_{n,1} p - I_n)`` at each call.  O(n^3); used only by
     tests to validate :func:`recover_z`.

@@ -12,7 +12,7 @@ import numpy as np
 from ..autodiff import Tensor, bump_graph_epoch, concat, mark_static, time_tensor
 from ..linalg import hippo_legt
 from ..nn import MLP, Linear, Module, Parameter
-from .dhs import DHSContext, P_SOLVERS, recover_z
+from .dhs import P_SOLVERS, ContextState, recover_z
 
 __all__ = ["DHSDynamics", "AugmentedDynamics", "PlainLatentDynamics"]
 
@@ -54,41 +54,52 @@ class DHSDynamics(Module):
         self.phi = MLP(latent_dim + 1, [hidden_dim], latent_dim, rng)
         self.h = Parameter(rng.normal(scale=0.1, size=(max_len,)), name="h")
         self.h2 = Parameter(rng.normal(scale=0.1, size=(max_len,)), name="h2")
-        self._contexts: list[DHSContext] | None = None
+        self._contexts: list[ContextState] | None = None
         self._slices: dict[int, tuple[Tensor, Tensor]] = {}
 
     # ------------------------------------------------------------------
-    def bind(self, contexts: list[DHSContext]) -> None:
+    def bind(self, contexts: list[ContextState]) -> None:
         """Attach the per-head attention contexts for the current batch."""
         if len(contexts) != self.num_heads:
             raise ValueError(f"expected {self.num_heads} contexts, "
                              f"got {len(contexts)}")
-        self._contexts = contexts
         # Slice the position-indexed parameters once per bind instead of
         # re-recording a getitem per RHS call; gradients still reach h/h2
         # through each slice's tape node.  The slices are bind-time
         # constants (the optimizer only steps between binds), so they are
         # marked static for the trace hoister.
-        self._slices = {}
+        slices: dict[int, tuple[Tensor, Tensor]] = {}
         for ctx in contexts:
-            if id(ctx) not in self._slices:
+            if ctx.n > self.h.shape[0]:
+                raise ValueError(
+                    f"context has n={ctx.n} observations but h/h2 hold "
+                    f"max_len={self.h.shape[0]}; configure a larger max_len")
+            if id(ctx) not in slices:
                 h_s = self.h[:ctx.n]
                 h_s.name = "h_slice"
                 h2_s = self.h2[:ctx.n]
                 h2_s.name = "h2_slice"
-                self._slices[id(ctx)] = (mark_static(h_s), mark_static(h2_s))
+                slices[id(ctx)] = (mark_static(h_s), mark_static(h2_s))
+                if self.p_solver == "ada_h":
+                    # Only adaH reads the (B, n, n) null projector.  Build
+                    # it here, not lazily inside the first traced call, so
+                    # RHS traces capture it as a static external and eager
+                    # and replay sum its gradients in the same order.
+                    mark_static(ctx.a_null)
+        self._contexts = contexts
+        self._slices = slices
         # Replayed traces capture the context tensors (pinv of Z, null
         # projectors, ...) as externals; swapping them for a new batch
         # must invalidate every recorded trace.
         bump_graph_epoch()
 
-    def _h_slices(self, ctx: DHSContext) -> tuple[Tensor, Tensor]:
+    def _h_slices(self, ctx: ContextState) -> tuple[Tensor, Tensor]:
         cached = self._slices.get(id(ctx))
         if cached is None:          # ctx not from bind (direct solver use)
             return self.h[:ctx.n], self.h2[:ctx.n]
         return cached
 
-    def solve_p(self, ctx: DHSContext, s_head: Tensor) -> Tensor:
+    def solve_p(self, ctx: ContextState, s_head: Tensor) -> Tensor:
         solver = P_SOLVERS[self.p_solver]
         return solver(ctx, s_head, h=self._h_slices(ctx)[0])
 
@@ -100,7 +111,7 @@ class DHSDynamics(Module):
         batch = s.shape[0]
         hd = self.head_dim
         z_parts: list[Tensor] = []
-        head_data: list[tuple[DHSContext, Tensor]] = []
+        head_data: list[tuple[ContextState, Tensor]] = []
         for head, ctx in enumerate(self._contexts):
             s_head = s[:, head * hd:(head + 1) * hd]
             p = self.solve_p(ctx, s_head)
@@ -114,14 +125,14 @@ class DHSDynamics(Module):
         ds_parts: list[Tensor] = []
         for head, (ctx, p) in enumerate(head_data):
             dz_head = dz[:, head * hd:(head + 1) * hd]
-            # Z^T P_diag Z computed as (Z * p)^T Z; Z^T p^T p Z = s~^T s~
-            # with s~ = pZ (equals S up to the ridge regularizer).
-            zw = ctx.z * p[:, :, None]
-            m1 = zw.transpose() @ ctx.z                   # (B, hd, hd)
-            s_tilde = (p[:, None, :] @ ctx.z)             # (B, 1, hd)
-            m2 = s_tilde.transpose() @ s_tilde            # (B, hd, hd)
-            coupling = (m1 - m2) * (1.0 / np.sqrt(hd))
-            ds_parts.append((dz_head[:, None, :] @ coupling)[:, 0, :])
+            # Eq. 12 multiplied right to left, as the softmax JVP:
+            # g = Z dz^T, then (P_diag - p^T p) g = p*g - p (p.g), then
+            # times Z - O(n d) per head, never forming a (d, d) coupling.
+            p_col = p[:, :, None]                         # (B, n, 1)
+            pg = p_col * (ctx.z @ dz_head[:, :, None])    # p * g
+            w = pg - p_col * pg.sum(axis=1, keepdims=True)
+            ds_head = (w.transpose() @ ctx.z)[:, 0, :]    # (B, hd)
+            ds_parts.append(ds_head * (1.0 / np.sqrt(hd)))
         ds = concat(ds_parts, axis=-1)
         if self.ds_clip is not None:
             ds = ds.clip(-self.ds_clip, self.ds_clip)

@@ -29,7 +29,7 @@ except ImportError:  # pragma: no cover
 from ..autodiff import Tensor, concat
 from ..nn import GRU, Linear, MLP, Module, Parameter
 from ..odeint import SolverOptions, odeint
-from .dhs import dhs_attention
+from .dhs import ContextState, dhs_attention
 from .dynamics import DHSDynamics
 from .model import interpolate_grid_states
 
@@ -135,8 +135,7 @@ class GraphDiffODE(Module):
         z = z + embed.broadcast_to(
             (batch, self.num_nodes, n, d)).reshape(bv, n, d)
 
-        from .dhs import DHSContext
-        ctx = DHSContext(z, flat_m)
+        ctx = ContextState.build(z, flat_m)
         self.dynamics.bind([ctx])
         s0, _ = dhs_attention(z[:, 0, :], ctx.z, ctx.mask)
         grid = np.linspace(0.0, 1.0,

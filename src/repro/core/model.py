@@ -4,8 +4,8 @@ Pipeline per batch of irregular series:
 
 1. the input network ``psi`` (one-layer GRU, Eq. 4) encodes observations
    ``(x_t, dt, t)`` into latent representations ``Z``;
-2. per attention head, a :class:`~repro.core.dhs.DHSContext` precomputes the
-   generalized-inverse constants;
+2. per attention head, a :class:`~repro.core.dhs.ContextState` precomputes
+   the generalized-inverse constants;
 3. the initial DHS ``S_0`` comes from the *forward* attention (Eq. 5) with
    the first observation's latent as query;
 4. ``[S, c, r]`` is integrated with the implicit Adams solver through the
@@ -26,7 +26,7 @@ from ..nn import GRU, Linear, MLP, Module
 from ..odeint import ADAPTIVE_METHODS, SolverOptions, solve
 from ..telemetry import get_registry
 from .config import DiffODEConfig
-from .dhs import DHSContext, dhs_attention
+from .dhs import ContextState, dhs_attention
 from .dynamics import AugmentedDynamics, DHSDynamics, PlainLatentDynamics
 
 __all__ = ["DiffODE", "interpolate_grid_states"]
@@ -166,15 +166,17 @@ class DiffODE(Module):
         feats = np.concatenate([values, times[..., None]], axis=-1)
         return self.encoder(Tensor(feats))
 
-    def build_contexts(self, z: Tensor, mask: np.ndarray) -> list[DHSContext]:
+    def build_contexts(self, z: Tensor,
+                       mask: np.ndarray) -> list[ContextState]:
         """One attention context per head over the head's latent slice."""
         heads = self.config.num_heads
         hd = self.config.latent_dim // heads
-        return [DHSContext(z[:, :, i * hd:(i + 1) * hd], mask,
-                           ridge=self.config.ridge)
+        return [ContextState.build(z[:, :, i * hd:(i + 1) * hd], mask,
+                                   ridge=self.config.ridge)
                 for i in range(heads)]
 
-    def initial_state(self, z: Tensor, contexts: list[DHSContext]) -> Tensor:
+    def initial_state(self, z: Tensor,
+                      contexts: list[ContextState]) -> Tensor:
         """``S_0`` from forward attention (plus zero HiPPO/info states)."""
         batch = z.shape[0]
         if self.config.use_attention:

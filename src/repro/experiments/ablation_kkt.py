@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from ..autodiff import Tensor, no_grad
-from ..core import DHSContext, dhs_attention, solve_p_exact_kkt, \
+from ..core import ContextState, dhs_attention, solve_p_exact_kkt, \
     solve_p_max_hoyer
 from ..linalg import hoyer_np
 from .reporting import Cell, TableResult
@@ -27,7 +27,7 @@ __all__ = ["run_kkt_ablation"]
 
 def _random_problem(n: int, d: int, rng: np.random.Generator):
     z = Tensor(rng.normal(size=(1, n, d)))
-    ctx = DHSContext(z, None, ridge=0.0)
+    ctx = ContextState.build(z, None, ridge=0.0)
     s, _ = dhs_attention(Tensor(rng.normal(size=(1, d))), ctx.z, None)
     return ctx, s
 

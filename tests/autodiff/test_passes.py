@@ -23,7 +23,7 @@ from repro.autodiff import (
     set_trace_cache_cap,
 )
 from repro.autodiff.passes import UNHASHABLE, canonical_attrs
-from repro.core import DHSContext, DHSDynamics
+from repro.core import P_SOLVERS, ContextState, DHSDynamics
 from repro.telemetry import get_registry
 
 _floats = st.floats(min_value=-2.0, max_value=2.0,
@@ -312,26 +312,30 @@ def test_lowering_cap_trims_populated_caches_immediately(replay_mode,
 # bit-identity with eager: DHS dynamics forward + backward, both modes
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(num_heads=st.sampled_from([1, 2]),
        batch=st.integers(min_value=1, max_value=5),
        mode=st.sampled_from(["default", "none"]),
        codegen=st.sampled_from(["on", "off"]),
+       p_solver=st.sampled_from(sorted(P_SOLVERS)),
        data=st.data())
 def test_replay_matches_eager_forward_and_backward(num_heads, batch, mode,
-                                                   codegen, data):
+                                                   codegen, p_solver, data):
     """Optimized replay must reproduce eager forward values and gradients
-    bit-for-bit for the DHS dynamics, for 1- and 2-head models, across
-    batch sizes, with the pass pipeline on and off, and with the codegen
-    backend swept on and off (gradients stay on the fat-node replay; the
-    no_grad forward goes through the generated kernel when it is on)."""
+    bit-for-bit for the DHS dynamics, for 1- and 2-head models, every
+    p-solver, across batch sizes, with the pass pipeline on and off, and
+    with the codegen backend swept on and off (gradients stay on the
+    fat-node replay; the no_grad forward goes through the generated
+    kernel when it is on)."""
     head_dim, n = 4, 6
     latent = head_dim * num_heads
     rng = np.random.default_rng(17)
-    dyn = DHSDynamics(latent, 8, rng, num_heads=num_heads, max_len=16)
+    dyn = DHSDynamics(latent, 8, rng, p_solver=p_solver,
+                      num_heads=num_heads, max_len=16)
     contexts = [
-        DHSContext(Tensor(data.draw(_arr((batch, n, head_dim)),
-                                    label=f"z{h}")), None, ridge=1e-6)
+        ContextState.build(Tensor(data.draw(_arr((batch, n, head_dim)),
+                                            label=f"z{h}")),
+                           None, ridge=1e-6)
         for h in range(num_heads)
     ]
     s0 = data.draw(_arr((batch, latent)), label="s0")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import Tensor
-from repro.core import ContextState, DHSContext, dhs_attention, solve_p_max_hoyer
+from repro.core import ContextState, dhs_attention, solve_p_max_hoyer
 
 
 def _rows(seed, batch, total, d):
@@ -48,11 +48,11 @@ def test_extend_sweep_matches_fresh_build(seed, d, extra):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 5))
 def test_rebuild_is_bitwise_fresh_context(seed, d, extra):
-    """After a forced rebuild the state is bitwise a fresh DHSContext."""
+    """After a forced rebuild the state is bitwise a fresh build."""
     n0 = d + 2
     z = _rows(seed, 2, n0 + extra, d)
     rebuilt = _extended(z, n0).rebuild()
-    fresh = DHSContext(Tensor(z), None, ridge=1e-6)
+    fresh = ContextState.build(Tensor(z), None, ridge=1e-6)
     np.testing.assert_array_equal(rebuilt.zt_pinv.data, fresh.zt_pinv.data)
     np.testing.assert_array_equal(rebuilt._a_ones.data, fresh._a_ones.data)
     np.testing.assert_array_equal(rebuilt._denom.data, fresh._denom.data)
@@ -63,7 +63,7 @@ def test_rebuild_is_bitwise_fresh_context(seed, d, extra):
 def test_zero_drift_threshold_forces_exact_path():
     z = _rows(7, 2, 9, 3)
     ext = _extended(z, 5, drift_threshold=0.0)
-    fresh = DHSContext(Tensor(z), None, ridge=1e-6)
+    fresh = ContextState.build(Tensor(z), None, ridge=1e-6)
     # Every extend fell back to the exact rebuild: bitwise equality.
     np.testing.assert_array_equal(ext.zt_pinv.data, fresh.zt_pinv.data)
     assert ext.rebuilds == 4 and ext.extends == 4

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor, gradcheck
 from repro.core import (
-    DHSContext,
+    ContextState,
     dhs_attention,
     solve_p_adaptive,
     solve_p_max_hoyer,
@@ -17,7 +17,7 @@ from repro.linalg import hoyer_np
 @pytest.fixture
 def ctx_and_s(rng):
     z = Tensor(rng.normal(size=(3, 10, 4)))
-    ctx = DHSContext(z, None, ridge=0.0)
+    ctx = ContextState.build(z, None, ridge=0.0)
     q = Tensor(rng.normal(size=(3, 4)))
     s, p_fwd = dhs_attention(q, ctx.z, None)
     return ctx, s, p_fwd
@@ -38,14 +38,14 @@ class TestForwardAttention:
         z = Tensor(rng.normal(size=(2, 8, 3)))
         mask = np.ones((2, 8))
         mask[0, 5:] = 0
-        ctx = DHSContext(z, mask, ridge=0.0)
+        ctx = ContextState.build(z, mask, ridge=0.0)
         s, p = dhs_attention(Tensor(rng.normal(size=(2, 3))), ctx.z, mask)
         assert np.all(p.data[0, 5:] == 0.0)
         np.testing.assert_allclose(p.data.sum(-1), np.ones(2))
 
     def test_requires_n_greater_than_d(self, rng):
         with pytest.raises(ValueError):
-            DHSContext(Tensor(rng.normal(size=(1, 3, 5))))
+            ContextState.build(Tensor(rng.normal(size=(1, 3, 5))))
 
 
 class TestPSolvers:
@@ -116,7 +116,7 @@ class TestPSolvers:
         z = rng.normal(size=(1, 7, 3))
 
         def fn(zt, s):
-            ctx = DHSContext(zt, None, ridge=0.0)
+            ctx = ContextState.build(zt, None, ridge=0.0)
             return (solve_p_max_hoyer(ctx, s) ** 2).sum()
 
         gradcheck(fn, [z, rng.normal(size=(1, 3))])
@@ -134,8 +134,8 @@ class TestMaskedEquivalence:
         mask = np.concatenate([np.ones((1, n_valid)), np.zeros((1, pad))],
                               axis=1)
 
-        ctx_small = DHSContext(Tensor(z_small), None, ridge=0.0)
-        ctx_big = DHSContext(Tensor(z_big), mask, ridge=0.0)
+        ctx_small = ContextState.build(Tensor(z_small), None, ridge=0.0)
+        ctx_big = ContextState.build(Tensor(z_big), mask, ridge=0.0)
         q = rng.normal(size=(1, 3))
         s_small, p_small = dhs_attention(Tensor(q), ctx_small.z, None)
         s_big, p_big = dhs_attention(Tensor(q), ctx_big.z, mask)
@@ -160,7 +160,7 @@ class TestSparsityOrdering:
         locally; here we check it against the forward softmax p (also
         sum 1, also feasible)."""
         z = Tensor(rng.normal(size=(5, 12, 4)))
-        ctx = DHSContext(z, None, ridge=0.0)
+        ctx = ContextState.build(z, None, ridge=0.0)
         s, p_fwd = dhs_attention(Tensor(rng.normal(size=(5, 4))), ctx.z, None)
         p_mh = solve_p_max_hoyer(ctx, s).data
         h_mh = hoyer_np(p_mh, use_abs=False)

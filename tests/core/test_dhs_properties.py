@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.autodiff import Tensor
 from repro.core import (
-    DHSContext,
+    ContextState,
     dhs_attention,
     solve_p_adaptive,
     solve_p_max_hoyer,
@@ -17,7 +17,7 @@ from repro.core import (
 def _problem(seed: int, n: int, d: int, batch: int = 2):
     rng = np.random.default_rng(seed)
     z = Tensor(rng.normal(size=(batch, n, d)))
-    ctx = DHSContext(z, None, ridge=0.0)
+    ctx = ContextState.build(z, None, ridge=0.0)
     s, p = dhs_attention(Tensor(rng.normal(size=(batch, d))), ctx.z, None)
     return rng, ctx, s, p
 
@@ -91,8 +91,8 @@ def test_masked_context_matches_trimmed(seed):
     z_big = np.concatenate([z_small, rng.normal(size=(1, pad, d))], axis=1)
     mask = np.concatenate([np.ones((1, n_valid)), np.zeros((1, pad))],
                           axis=1)
-    ctx_a = DHSContext(Tensor(z_small), None, ridge=0.0)
-    ctx_b = DHSContext(Tensor(z_big), mask, ridge=0.0)
+    ctx_a = ContextState.build(Tensor(z_small), None, ridge=0.0)
+    ctx_b = ContextState.build(Tensor(z_big), mask, ridge=0.0)
     q = rng.normal(size=(1, d))
     s_a, _ = dhs_attention(Tensor(q), ctx_a.z, None)
     s_b, _ = dhs_attention(Tensor(q), ctx_b.z, mask)

@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
-from repro.core import AugmentedDynamics, DHSContext, DHSDynamics, \
-    PlainLatentDynamics, dhs_attention
+from repro.autodiff import Tensor, gradcheck
+from repro.core import AugmentedDynamics, ContextState, DHSDynamics, \
+    DiffODE, DiffODEConfig, P_SOLVERS, PlainLatentDynamics, dhs_attention, \
+    recover_z
+
+
+def eq12_literal(dz, p, z_all):
+    """Eq. 12 for one sequence, literally: ``dz Z^T (P_diag - p^T p) Z /
+    sqrt(d)`` with the (d, d) coupling formed explicitly.  The reference
+    the regrouped right-hand side is held to."""
+    coupling = z_all.T @ (np.diag(p) - np.outer(p, p)) @ z_all
+    return dz @ coupling / np.sqrt(z_all.shape[-1])
 
 
 class TestEquation6ChainRule:
@@ -19,8 +28,7 @@ class TestEquation6ChainRule:
         a = z_t @ z_all.T / np.sqrt(d)
         e = np.exp(a - a.max())
         p = e / e.sum()
-        coupling = z_all.T @ (np.diag(p) - np.outer(p, p)) @ z_all
-        return v @ coupling / np.sqrt(d), p
+        return eq12_literal(v, p, z_all), p
 
     def test_matches_numerical_derivative(self, rng):
         n, d = 9, 4
@@ -59,13 +67,89 @@ class TestEquation6ChainRule:
         np.testing.assert_allclose(jac_analytic, jac_numeric, atol=1e-6)
 
 
+def _masked_batch(rng, batch=3, n=9, d=4):
+    """Latents and a mask whose sequences 1 and 2 end in padded rows."""
+    mask = np.ones((batch, n))
+    mask[1, n - 2:] = 0.0
+    mask[2, n - 3:] = 0.0
+    return rng.normal(size=(batch, n, d)), mask
+
+
+def _bind(dyn, z, mask):
+    hd = dyn.head_dim
+    dyn.bind([ContextState.build(z[:, :, h * hd:(h + 1) * hd], mask)
+              for h in range(dyn.num_heads)])
+
+
+class TestEquation12Oracle:
+    """``DHSDynamics.forward`` multiplies Eq. 12 right to left; it must
+    equal the literal (d, d) coupling form for every p-solver, one and two
+    heads, on a batch with padded rows."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("solver", sorted(P_SOLVERS))
+    def test_matches_literal_form(self, rng, solver, heads):
+        d, t = 4, 0.35
+        z, mask = _masked_batch(rng, d=d)
+        dyn = DHSDynamics(d, 8, rng, p_solver=solver, num_heads=heads,
+                          max_len=16, ds_clip=None)
+        _bind(dyn, Tensor(z), mask)
+        s = rng.normal(size=(3, d))
+        out = dyn(t, Tensor(s)).data
+
+        # p, z_t and dz = phi(z_t, t) from the same solver; only the
+        # coupling is recomputed literally.
+        hd = dyn.head_dim
+        heads_p, z_t = [], []
+        for h, ctx in enumerate(dyn._contexts):
+            p = dyn.solve_p(ctx, Tensor(s[:, h * hd:(h + 1) * hd]))
+            heads_p.append(p.data)
+            z_t.append(recover_z(p, ctx, dyn.h2[:ctx.n]).data)
+        feats = np.concatenate(z_t + [np.full((3, 1), t)], axis=-1)
+        dz = dyn.phi(Tensor(feats)).data
+        expected = np.concatenate([
+            np.stack([eq12_literal(dz[b, h * hd:(h + 1) * hd],
+                                   heads_p[h][b], ctx.z.data[b])
+                      for b in range(3)])
+            for h, ctx in enumerate(dyn._contexts)], axis=-1)
+        assert np.all(heads_p[0][1, -2:] == 0.0)        # padded rows
+        err = np.max(np.abs(out - expected)) / np.max(np.abs(expected))
+        assert err < 1e-12
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("solver", sorted(P_SOLVERS))
+    def test_gradcheck_state_latents_and_phi(self, rng, solver, heads):
+        d = 4
+        z0, mask = _masked_batch(rng, d=d)
+        dyn = DHSDynamics(d, 6, rng, p_solver=solver, num_heads=heads,
+                          max_len=16, ds_clip=None)
+        fc0, fc1 = dyn.phi.fc0, dyn.phi.fc1
+        weights = rng.normal(size=(3, d))
+
+        def fn(s, z, w0, w1):
+            # route phi through the checked weight tensors
+            object.__setattr__(fc0, "weight", w0)
+            object.__setattr__(fc1, "weight", w1)
+            _bind(dyn, z, mask)
+            return (dyn(0.2, s) * Tensor(weights)).sum()
+
+        params = (fc0.weight, fc1.weight)
+        try:
+            gradcheck(fn, [rng.normal(size=(3, d)), z0,
+                           fc0.weight.data.copy(), fc1.weight.data.copy()])
+        finally:
+            object.__setattr__(fc0, "weight", params[0])
+            object.__setattr__(fc1, "weight", params[1])
+
+
 class TestDHSDynamics:
     def _make(self, rng, n=10, d=4, heads=1, solver="max_hoyer"):
         dyn = DHSDynamics(d, 8, rng, p_solver=solver, num_heads=heads,
                           max_len=64)
         hd = d // heads
-        contexts = [DHSContext(Tensor(rng.normal(size=(2, n, hd))),
-                               None, ridge=0.0) for _ in range(heads)]
+        contexts = [ContextState.build(Tensor(rng.normal(size=(2, n, hd))),
+                                       None, ridge=0.0)
+                    for _ in range(heads)]
         dyn.bind(contexts)
         return dyn
 
@@ -82,7 +166,35 @@ class TestDHSDynamics:
     def test_bind_checks_head_count(self, rng):
         dyn = DHSDynamics(4, 8, rng, num_heads=2)
         with pytest.raises(ValueError):
-            dyn.bind([DHSContext(Tensor(rng.normal(size=(1, 6, 2))))])
+            dyn.bind([ContextState.build(Tensor(rng.normal(size=(1, 6, 2))))])
+
+    def test_bind_rejects_series_longer_than_max_len(self, rng):
+        """h/h2 hold max_len positions; a longer context must fail at
+        bind with a clear message, not at the first RHS call."""
+        dyn = DHSDynamics(4, 8, rng, max_len=8)
+        ctx = ContextState.build(Tensor(rng.normal(size=(2, 10, 4))))
+        with pytest.raises(ValueError, match=r"n=10.*max_len=8"):
+            dyn.bind([ctx])
+        dyn.bind([ContextState.build(Tensor(rng.normal(size=(2, 8, 4))))])
+
+    def test_model_forward_rejects_series_longer_than_max_len(self, rng):
+        model = DiffODE(DiffODEConfig(input_dim=2, latent_dim=4,
+                                      hidden_dim=8, hippo_dim=4, info_dim=4,
+                                      step_size=0.5, num_classes=2,
+                                      max_len=8))
+        times = np.sort(rng.random((2, 10)), axis=1)
+        with pytest.raises(ValueError, match=r"n=10.*max_len=8"):
+            model.forward_classification(rng.normal(size=(2, 10, 2)),
+                                         times, np.ones((2, 10)))
+
+    def test_ada_h_projector_is_built_at_bind(self, rng):
+        z = Tensor(rng.normal(size=(2, 10, 4)))
+        ctx = ContextState.build(z)
+        assert ctx._a_null is None          # no solver has needed it yet
+        DHSDynamics(4, 8, rng, p_solver="max_hoyer").bind([ctx])
+        assert ctx._a_null is None
+        DHSDynamics(4, 8, rng, p_solver="ada_h").bind([ctx])
+        assert ctx._a_null is not None and ctx._a_null.static
 
     def test_multi_head_shape(self, rng):
         dyn = self._make(rng, d=4, heads=2)
@@ -111,7 +223,7 @@ class TestDHSDynamics:
         true p (they solve the same linear system)."""
         n, d = 10, 3
         z_all = Tensor(rng.normal(size=(1, n, d)))
-        ctx = DHSContext(z_all, None, ridge=0.0)
+        ctx = ContextState.build(z_all, None, ridge=0.0)
         dyn = DHSDynamics(d, 8, rng, p_solver="min_norm", max_len=64)
         dyn.bind([ctx])
         q = Tensor(rng.normal(size=(1, d)))

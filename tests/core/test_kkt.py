@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.core import DHSContext, dhs_attention, solve_p_exact_kkt, \
+from repro.core import ContextState, dhs_attention, solve_p_exact_kkt, \
     solve_p_max_hoyer
 
 
 def _small_problem(rng, n=7, d=3):
     z = Tensor(rng.normal(size=(1, n, d)))
-    ctx = DHSContext(z, None, ridge=0.0)
+    ctx = ContextState.build(z, None, ridge=0.0)
     s, _ = dhs_attention(Tensor(rng.normal(size=(1, d))), ctx.z, None)
     b = ctx.least_norm_p(s).data[0]
     a = ctx.a_null.data[0]
@@ -61,7 +61,7 @@ class TestExactKKT:
         maximizer of ||p||^2 is a vertex of the simplex slice."""
         rng = np.random.default_rng(3)
         z = Tensor(np.abs(rng.normal(size=(1, 5, 1))) + 0.5)
-        ctx = DHSContext(z, None, ridge=0.0)
+        ctx = ContextState.build(z, None, ridge=0.0)
         s, _ = dhs_attention(Tensor(rng.normal(size=(1, 1))), ctx.z, None)
         b = ctx.least_norm_p(s).data[0]
         a = ctx.a_null.data[0]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor, gradcheck
 from repro.core import (
-    DHSContext,
+    ContextState,
     dhs_attention,
     recover_z,
     recover_z_literal,
@@ -16,7 +16,7 @@ from repro.core import (
 @pytest.fixture
 def setup(rng):
     z = Tensor(rng.normal(size=(3, 9, 4)))
-    ctx = DHSContext(z, None, ridge=0.0)
+    ctx = ContextState.build(z, None, ridge=0.0)
     s, _ = dhs_attention(Tensor(rng.normal(size=(3, 4))), ctx.z, None)
     p = solve_p_max_hoyer(ctx, s)
     h2 = Tensor(rng.normal(size=(9,)))
@@ -34,7 +34,7 @@ class TestClosedFormEquivalence:
         z = Tensor(rng.normal(size=(2, 10, 3)))
         mask = np.ones((2, 10))
         mask[1, 7:] = 0
-        ctx = DHSContext(z, mask, ridge=0.0)
+        ctx = ContextState.build(z, mask, ridge=0.0)
         s, _ = dhs_attention(Tensor(rng.normal(size=(2, 3))), ctx.z, mask)
         p = solve_p_max_hoyer(ctx, s)
         h2 = Tensor(rng.normal(size=(10,)))
@@ -67,7 +67,7 @@ class TestShapeAndGradient:
         z = rng.normal(size=(1, 7, 3))
 
         def fn(h2, s):
-            ctx = DHSContext(Tensor(z), None, ridge=0.0)
+            ctx = ContextState.build(Tensor(z), None, ridge=0.0)
             p = solve_p_max_hoyer(ctx, s)
             return (recover_z(p, ctx, h2) ** 2).sum()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, cross_entropy
-from repro.core import DHSContext, DiffODE, DiffODEConfig, dhs_attention, \
+from repro.core import ContextState, DiffODE, DiffODEConfig, dhs_attention, \
     solve_p_max_hoyer
 from repro.data import Dataset, Sample, collate
 from repro.training import Adam, TrainConfig, Trainer, clip_grad_norm
@@ -17,14 +17,14 @@ class TestDegenerateLatents:
         base = rng.normal(size=(1, 1, 4))
         z = Tensor(np.repeat(base, 12, axis=1) + 1e-10 * rng.normal(
             size=(1, 12, 4)))
-        ctx = DHSContext(z, None, ridge=1e-6)
+        ctx = ContextState.build(z, None, ridge=1e-6)
         s, _ = dhs_attention(Tensor(rng.normal(size=(1, 4))), ctx.z, None)
         p = solve_p_max_hoyer(ctx, s)
         assert np.all(np.isfinite(p.data))
 
     def test_zero_z_rows_do_not_nan(self, rng):
         z = Tensor(np.zeros((1, 10, 3)))
-        ctx = DHSContext(z, None, ridge=1e-6)
+        ctx = ContextState.build(z, None, ridge=1e-6)
         s = Tensor(np.zeros((1, 3)))
         p = solve_p_max_hoyer(ctx, s)
         assert np.all(np.isfinite(p.data))
@@ -34,7 +34,7 @@ class TestDegenerateLatents:
         z = Tensor(rng.normal(size=(2, 10, 3)))
         mask = np.ones((2, 10))
         mask[1, 4:] = 0  # only 4 valid rows (> d = 3)
-        ctx = DHSContext(z, mask, ridge=1e-6)
+        ctx = ContextState.build(z, mask, ridge=1e-6)
         s, _ = dhs_attention(Tensor(rng.normal(size=(2, 3))), ctx.z, mask)
         p = solve_p_max_hoyer(ctx, s)
         assert np.all(np.isfinite(p.data))

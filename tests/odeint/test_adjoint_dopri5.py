@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, concat
-from repro.core import DHSContext, DHSDynamics
+from repro.core import ContextState, DHSDynamics
 from repro.nn import Linear, MLP, Module
 from repro.odeint import SolverOptions, odeint_adjoint, solve
 from repro.telemetry import MetricsRegistry, set_registry
@@ -122,9 +122,9 @@ class TestGradientEquivalence:
         y0 = rng.normal(size=(2, d))
         times = np.linspace(0.0, 1.0, 4)
 
-        dyn.bind([DHSContext(z, None, ridge=0.0)])
+        dyn.bind([ContextState.build(z, None, ridge=0.0)])
         _, gy_bp, gp_bp = _grads(dyn, y0, times, adjoint=False)
-        dyn.bind([DHSContext(z, None, ridge=0.0)])
+        dyn.bind([ContextState.build(z, None, ridge=0.0)])
         _, gy_adj, gp_adj = _grads(dyn, y0, times, adjoint=True)
         np.testing.assert_allclose(gy_adj, gy_bp, **BAND)
         for a, b in zip(gp_adj, gp_bp):
