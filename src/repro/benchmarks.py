@@ -4,7 +4,7 @@
 ``solver`` (the default) runs a representative dopri5 workload (a batch of
 decays whose rates span two orders of magnitude, read out on an irregular
 grid) through the current adaptive solver and through an emulation of the
-seed solver -- one restarted ``dopri5_integrate`` per output interval,
+seed solver -- one restarted adaptive integration per output interval,
 ``dt`` reset to ``span/10`` each time, 7 RHS evaluations per trial step
 (no FSAL), one global RMS error norm and plain I-control -- then reports
 the saved RHS evaluations as ``BENCH_solver.json``.
@@ -146,7 +146,7 @@ def run_current_solver():
 
 
 def _seed_interval(f, y, t0, t1, rtol, atol):
-    """The seed ``dopri5_integrate`` loop on plain arrays; returns
+    """The seed solver's per-interval loop on plain arrays; returns
     ``(y(t1), trial_steps)`` -- each trial step cost 7 RHS evals."""
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)

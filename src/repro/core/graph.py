@@ -28,7 +28,7 @@ except ImportError:  # pragma: no cover
 
 from ..autodiff import Tensor, concat
 from ..nn import GRU, Linear, MLP, Module, Parameter
-from ..odeint import SolverOptions, odeint
+from ..odeint import SolverOptions, solve
 from .dhs import ContextState, dhs_attention
 from .dynamics import DHSDynamics
 from .model import interpolate_grid_states
@@ -140,8 +140,8 @@ class GraphDiffODE(Module):
         s0, _ = dhs_attention(z[:, 0, :], ctx.z, ctx.mask)
         grid = np.linspace(0.0, 1.0,
                            max(2, int(round(1.0 / self.step_size)) + 1))
-        states = odeint(self.dynamics, s0, grid, method="rk4",
-                        options=SolverOptions(step_size=self.step_size))
+        states = solve(self.dynamics, s0, grid, method="rk4",
+                       options=SolverOptions(step_size=self.step_size)).ys
         # states: (L, B*V, d)
         q = np.repeat(np.asarray(query_times), self.num_nodes, axis=0)
         at_q = interpolate_grid_states(states, grid, q)    # (B*V, nq, d)

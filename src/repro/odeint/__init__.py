@@ -1,12 +1,13 @@
-"""Differentiable ODE solvers (the torchdiffeq stand-in)."""
+"""Differentiable ODE solvers (the torchdiffeq stand-in).
+
+:func:`solve` is the one integration entry point; :func:`odeint_event`
+separately locates the first zero crossing of an event function.
+"""
 
 from .api import ADAPTIVE_METHODS, METHODS, Solution, solve
-from .interface import odeint
-from .adjoint import adjoint_solve, odeint_adjoint
 from .events import odeint_event
 from .adams import AdamsBashforthMoulton
-from .dopri5 import DenseOutput, PIController, dopri5_dense_solve, \
-    dopri5_integrate, dopri5_solve, initial_step_size
+from .dopri5 import PIController, initial_step_size
 from .fixed import FIXED_STEPPERS, STEP_NFEV, euler_step, midpoint_step, \
     rk4_step
 from .options import SolverOptions, validate_times
@@ -16,20 +17,13 @@ from .stats import SolverStats
 __all__ = [
     "solve",
     "Solution",
-    "odeint",
     "SolverOptions",
     "ResumeState",
     "validate_times",
-    "odeint_adjoint",
-    "adjoint_solve",
     "odeint_event",
     "METHODS",
     "ADAPTIVE_METHODS",
     "AdamsBashforthMoulton",
-    "DenseOutput",
-    "dopri5_dense_solve",
-    "dopri5_integrate",
-    "dopri5_solve",
     "initial_step_size",
     "PIController",
     "SolverStats",

@@ -5,8 +5,8 @@ adaptive numerical integration method known for its tiny numerical errors".
 We implement the classic fixed-order ABM scheme used by torchdiffeq's
 ``implicit_adams``: a 4th-order Adams-Bashforth predictor followed by a
 4th-order Adams-Moulton corrector, with RK4 bootstrapping for the first
-three steps.  The corrector is applied in P(EC)^k fixed-point form, which is
-differentiable because every iterate is an ordinary Tensor expression.
+three steps.  The corrector is applied once (PECE), which is differentiable
+because every stage is an ordinary Tensor expression.
 """
 
 from __future__ import annotations
@@ -33,13 +33,10 @@ class AdamsBashforthMoulton:
     ----------
     func:
         Right-hand side ``f(t, y)``.
-    corrector_iters:
-        Number of corrector sweeps (1 is the standard PECE scheme).
     """
 
-    def __init__(self, func: OdeFunc, corrector_iters: int = 1):
+    def __init__(self, func: OdeFunc):
         self.func = func
-        self.corrector_iters = max(1, int(corrector_iters))
         self._history: list[Tensor] = []  # f values at the most recent grid points
 
     def reset(self) -> None:
@@ -61,10 +58,7 @@ class AdamsBashforthMoulton:
         # Predictor (AB4)
         y_pred = y + (f0 * _AB4[0] + f1 * _AB4[1] + f2 * _AB4[2]
                       + f3 * _AB4[3]) * dt
-        # Corrector (AM4), optionally iterated
-        y_next = y_pred
-        for _ in range(self.corrector_iters):
-            f_next = self.func(t + dt, y_next)
-            y_next = y + (f_next * _AM4[0] + f0 * _AM4[1] + f1 * _AM4[2]
-                          + f2 * _AM4[3]) * dt
-        return y_next
+        # Corrector (AM4), one sweep
+        f_next = self.func(t + dt, y_pred)
+        return y + (f_next * _AM4[0] + f0 * _AM4[1] + f1 * _AM4[2]
+                    + f2 * _AM4[3]) * dt

@@ -1,46 +1,44 @@
 """Continuous adjoint sensitivity method (Chen et al. 2018, Eq. 4-5).
 
-``odeint_adjoint`` solves the forward ODE without recording a tape, then, in
-the backward pass, integrates the augmented system
+``solve(..., SolverOptions(adjoint=True))`` routes here: the forward ODE
+is solved without recording a tape, then, in the backward pass, the
+augmented system
 
     d/dt [y, a, g_theta] = [f, -a^T df/dy, -a^T df/dtheta]
 
-backwards in time.  Memory is O(state) instead of O(state x steps), at the
-price of a second integration.  We expose it both as an API parity feature
-with torchdiffeq and to cross-check the default backprop-through-the-solver
-gradients (see tests/odeint/test_adjoint.py).
+is integrated backwards in time.  Memory is O(state) instead of
+O(state x steps), at the price of a second integration.  It serves both as
+an API parity feature with torchdiffeq and as a cross-check of the default
+backprop-through-the-solver gradients (see tests/odeint/test_adjoint.py).
 
-Two integration families share the entry point:
+Two integration families share :func:`adjoint_solve`:
 
 * **fixed-grid methods** (including ``implicit_adams``, the paper's
-  solver) co-integrate ``y`` with ``(a, g_theta)`` backward over the same
-  sub-step grid the forward used — the backward sweep always uses RK4 from
-  the stored interval states, independent of the forward stepper;
+  solver) run their forward pass through the same grid loop as
+  :func:`repro.odeint.solve`, then co-integrate ``y`` with
+  ``(a, g_theta)`` backward over the same sub-step grid - the backward
+  sweep always uses RK4 from the stored interval states, independent of
+  the forward stepper;
 * **dopri5** stores the forward pass's accepted-step dense-output segments
   and reads ``y(t)`` from the quartic interpolant during the backward
   sweep, so ``y`` does not have to be re-integrated (and cannot drift).
-  ``SolverOptions.adjoint_storage="resolve"`` trades that O(steps) segment
-  storage for re-solving each output interval on demand during backward —
-  memory O(max steps per interval) when the dense store is itself the
-  bound.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..autodiff import Tensor, maybe_compile, no_grad
 from ..nn import Module
 from ..telemetry import get_registry
-from .adams import AdamsBashforthMoulton
-from .dopri5 import _P, DenseOutput, _dopri5_core
-from .fixed import FIXED_STEPPERS, STEP_NFEV
-from .options import SolverOptions, validate_times
+from .dopri5 import _dense_eval, _dopri5_core
+from .fixed import FIXED_STEPPERS, _fixed_grid_solve
+from .options import SolverOptions
 from .stats import SolverStats
 
-__all__ = ["odeint_adjoint", "adjoint_solve"]
+__all__ = ["adjoint_solve"]
 
 
 def _vjp(rhs: Callable, params: list, t: float, y_value: np.ndarray,
@@ -69,29 +67,44 @@ def _vjp(rhs: Callable, params: list, t: float, y_value: np.ndarray,
     return dy, dparams
 
 
+def _adjoint_output(y0: Tensor, params: list, times: np.ndarray,
+                    solution: np.ndarray, stats: SolverStats,
+                    sweep: Callable) -> Tensor:
+    """Wrap a tape-free forward ``solution`` in the adjoint backward.
+
+    The backward closure walks the output intervals in reverse, letting
+    ``sweep(idx, a, g_theta) -> (a, g_theta)`` integrate the adjoint state
+    from ``times[idx]`` back to ``times[idx - 1]`` and adding the
+    incoming output gradient at every output time; the parameter
+    gradients accumulate into ``params`` and the backward evaluations into
+    ``stats.nfev`` (and the registry's ``backward_nfev``).
+    """
+
+    def backward(grad_outputs: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        nfev_before = stats.nfev
+        adj_y = np.array(grad_outputs[-1], copy=True)
+        adj_params = [np.zeros_like(p.data) for p in params]
+        for idx in range(len(times) - 1, 0, -1):
+            adj_y, adj_params = sweep(idx, adj_y, adj_params)
+            adj_y = adj_y + grad_outputs[idx - 1]
+
+        for p, g in zip(params, adj_params):
+            p.grad = g if p.grad is None else p.grad + g
+        registry = get_registry()
+        if registry.enabled:
+            delta = stats.nfev - nfev_before
+            registry.inc(f"solver.{stats.method}.backward_nfev", delta)
+            registry.inc("solver.nfev", delta)
+        return (adj_y,)
+
+    return Tensor._make_custom(
+        solution, (y0,), backward,
+        force_grad=y0.requires_grad or any(p.requires_grad for p in params))
+
+
 # ---------------------------------------------------------------------------
 # dopri5 adjoint: y(t) from dense-output segments
 # ---------------------------------------------------------------------------
-
-def _seg_value(seg: tuple, tau: float) -> np.ndarray:
-    """Evaluate one accepted step's quartic interpolant on raw values.
-
-    ``seg`` is ``(t, h, y_data, [k_data ...])`` — the values-only mirror of
-    a :class:`~repro.odeint.dopri5.DenseOutput` segment.
-    """
-    t_i, h_i, y_old, k = seg
-    theta = float((tau - t_i) / h_i)
-    out = np.array(y_old, copy=True)
-    for i in range(7):
-        q = 0.0
-        power = theta
-        for j in range(4):
-            q += _P[i][j] * power
-            power *= theta
-        if q != 0.0:
-            out += k[i] * (h_i * q)
-    return out
-
 
 class _SegmentTable:
     """Locate + evaluate value-only dense segments for the backward sweep."""
@@ -118,7 +131,8 @@ class _SegmentTable:
             idx = len(self.starts) - 1 - int(
                 np.searchsorted(self.starts[::-1], tau, side="left"))
         idx = int(np.clip(idx, 0, len(self.segs) - 1))
-        return _seg_value(self.segs[idx], tau)
+        t_i, h_i, y_old, k = self.segs[idx]
+        return _dense_eval(y_old, k, h_i, float((tau - t_i) / h_i))
 
 
 def _sweep_interval(table: _SegmentTable, aug_dynamics, t_hi: float,
@@ -159,116 +173,116 @@ def _sweep_interval(table: _SegmentTable, aug_dynamics, t_hi: float,
 
 
 def _adjoint_dopri5(func: Module, y0: Tensor, times: np.ndarray,
-                    opts: SolverOptions
-                    ) -> tuple[Tensor, SolverStats, DenseOutput | None]:
+                    opts: SolverOptions) -> tuple[Tensor, SolverStats]:
     """Continuous adjoint over one adaptive dopri5 integration.
 
     The forward pass runs under ``no_grad`` collecting dense-output
     segments; the backward closure integrates only the augmented
     ``(a, g_theta)`` state in reverse, reading ``y(tau)`` from the
     segments' quartic interpolant (each augmented evaluation costs one VJP
-    forward pass).  With ``opts.adjoint_storage == "resolve"`` the forward
-    keeps only the states at output times and each output interval's
-    segments are rebuilt by a fresh ``no_grad`` solve during backward.
+    forward pass).
     """
     params = list(func.parameters())
     rhs = maybe_compile(func)
-    resolve = opts.adjoint_storage == "resolve"
     direction = 1.0 if float(times[-1]) > float(times[0]) else -1.0
 
     segments: list = []
     with no_grad():
         outputs, stats, _ = _dopri5_core(
             rhs, Tensor(np.array(y0.data, copy=True)), times,
-            opts.rtol, opts.atol, opts.first_step, opts.max_steps,
-            segments=segments)
+            opts.rtol, opts.atol, opts.max_steps, segments=segments)
     stats.method = "adjoint[dopri5]"
     solution = np.stack([o.data for o in outputs], axis=0)
 
-    dense = None
-    table = None
-    if resolve:
-        # Dense storage is the memory bound: drop the forward segments and
-        # rebuild each interval's table on demand during backward.
-        segments = None
-    else:
-        table = _SegmentTable(segments, direction)
-        registry = get_registry()
-        if registry.enabled:
-            registry.set_gauge("solver.adjoint.dense_bytes", table.nbytes)
-        if opts.dense:
-            # Values-only interpolant: the forward ran without a tape, so
-            # the DenseOutput shares the adjoint's segments but does not
-            # participate in the backward pass.
-            dense = DenseOutput(segments, float(times[0]),
-                                Tensor(solution[0]))
+    table = _SegmentTable(segments, direction)
+    registry = get_registry()
+    if registry.enabled:
+        registry.set_gauge("solver.adjoint.dense_bytes", table.nbytes)
 
-    def backward(grad_outputs: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        nfev_before = stats.nfev
-        adj_y = np.array(grad_outputs[-1], copy=True)
-        adj_params = [np.zeros_like(p.data) for p in params]
-        registry = get_registry()
+    def aug_dynamics(tau: float, a_val: np.ndarray):
+        vjp_y, vjp_p = _vjp(rhs, params, tau, table(tau), a_val)
+        stats.nfev += 1   # the VJP forward pass
+        return -vjp_y, [-g for g in vjp_p]
 
-        def make_aug(tbl: _SegmentTable):
-            def aug_dynamics(tau: float, a_val: np.ndarray):
-                y_val = tbl(tau)
-                vjp_y, vjp_p = _vjp(rhs, params, tau, y_val, a_val)
-                stats.nfev += 1   # the VJP forward pass
-                return -vjp_y, [-g for g in vjp_p]
-            return aug_dynamics
+    def sweep(idx: int, adj_y: np.ndarray, adj_params: list):
+        return _sweep_interval(table, aug_dynamics, float(times[idx]),
+                               float(times[idx - 1]), adj_y, adj_params)
 
-        aug = make_aug(table) if table is not None else None
-        for idx in range(len(times) - 1, 0, -1):
-            t1, t0 = float(times[idx]), float(times[idx - 1])
-            if resolve:
-                local: list = []
-                with no_grad():
-                    _, local_stats, _ = _dopri5_core(
-                        rhs, Tensor(np.array(solution[idx - 1], copy=True)),
-                        np.array([t0, t1]), opts.rtol, opts.atol,
-                        None, opts.max_steps, segments=local)
-                stats.nfev += local_stats.nfev
-                local_table = _SegmentTable(local, direction)
-                if registry.enabled:
-                    registry.inc("solver.adjoint.resolves")
-                    registry.set_gauge("solver.adjoint.dense_bytes",
-                                       local_table.nbytes)
-                adj_y, adj_params = _sweep_interval(
-                    local_table, make_aug(local_table), t1, t0,
-                    adj_y, adj_params)
-            else:
-                adj_y, adj_params = _sweep_interval(table, aug, t1, t0,
-                                                    adj_y, adj_params)
-            adj_y = adj_y + grad_outputs[idx - 1]
+    return _adjoint_output(y0, params, times, solution, stats, sweep), stats
 
-        for p, g in zip(params, adj_params):
-            p.grad = g if p.grad is None else p.grad + g
-        if registry.enabled:
-            delta = stats.nfev - nfev_before
-            registry.inc(f"solver.{stats.method}.backward_nfev", delta)
-            registry.inc("solver.nfev", delta)
-        return (adj_y,)
 
-    out = Tensor._make_custom(
-        solution, (y0,), backward,
-        force_grad=y0.requires_grad or any(p.requires_grad for p in params))
-    return out, stats, dense
+# ---------------------------------------------------------------------------
+# fixed-grid adjoint: y co-integrated backward with RK4
+# ---------------------------------------------------------------------------
+
+def _adjoint_fixed(func: Module, y0: Tensor, times: np.ndarray,
+                   method: str, opts: SolverOptions
+                   ) -> tuple[Tensor, SolverStats]:
+    """Continuous adjoint over a fixed-grid (or implicit Adams) solve.
+
+    The forward pass is :func:`repro.odeint.solve`'s own grid loop run
+    under ``no_grad``.  Only the forward stepper differs by method: the
+    backward sweep co-integrates ``y`` with RK4 from the stored interval
+    states regardless (for ``implicit_adams`` both are 4th order, so the
+    gradient band is unchanged).
+    """
+    step_size = opts.step_size
+    params = list(func.parameters())
+    rhs = maybe_compile(func)
+    with no_grad():
+        ys, stats, _ = _fixed_grid_solve(
+            rhs, Tensor(np.array(y0.data, copy=True)), times, method,
+            step_size)
+    stats.method = f"adjoint[{method}]"
+    solution = ys.data
+
+    def aug_dynamics(t_val: float, y_val: np.ndarray, a_val: np.ndarray):
+        with no_grad():
+            f_val = rhs(t_val, Tensor(y_val)).data
+        vjp_y, vjp_p = _vjp(rhs, params, t_val, y_val, a_val)
+        stats.nfev += 2  # plain RHS eval + the VJP forward pass
+        return f_val, -vjp_y, [-g for g in vjp_p]
+
+    def rk(yv, av, pv, h, t_loc):
+        """One RK4 step of the augmented system (values only)."""
+        f1, a1, p1 = aug_dynamics(t_loc, yv, av)
+        f2, a2, p2 = aug_dynamics(t_loc + h / 2, yv + h / 2 * f1,
+                                  av + h / 2 * a1)
+        f3, a3, p3 = aug_dynamics(t_loc + h / 2, yv + h / 2 * f2,
+                                  av + h / 2 * a2)
+        f4, a4, p4 = aug_dynamics(t_loc + h, yv + h * f3, av + h * a3)
+        y_new = yv + h / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+        a_new = av + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        p_new = [pv_i + h / 6 * (g1 + 2 * g2 + 2 * g3 + g4)
+                 for pv_i, g1, g2, g3, g4 in zip(pv, p1, p2, p3, p4)]
+        return y_new, a_new, p_new
+
+    def sweep(idx: int, adj_y: np.ndarray, adj_params: list):
+        t1, t0 = float(times[idx]), float(times[idx - 1])
+        span = t0 - t1  # negative: integrating backwards
+        n_sub = max(1, int(np.ceil(abs(span) / step_size))) if step_size else 1
+        dt = span / n_sub
+        y_val = np.array(solution[idx], copy=True)
+        tau = t1
+        for _ in range(n_sub):
+            y_val, adj_y, adj_params = rk(y_val, adj_y, adj_params, dt, tau)
+            tau += dt
+        return adj_y, adj_params
+
+    return _adjoint_output(y0, params, times, solution, stats, sweep), stats
 
 
 def adjoint_solve(func: Module, y0: Tensor, times: np.ndarray,
                   method: str, opts: SolverOptions
-                  ) -> tuple[Tensor, SolverStats, DenseOutput | None]:
-    """Continuous-adjoint integration core shared by every entry point.
+                  ) -> tuple[Tensor, SolverStats]:
+    """Continuous-adjoint integration core behind ``solve(adjoint=True)``.
 
     ``times`` must already be validated; ``method`` is a fixed-grid
-    stepper or ``dopri5``.  :func:`repro.odeint.solve` and
-    :func:`odeint_adjoint` both delegate here.  Returns
-    ``(solution, stats, dense)`` — ``dense`` is the values-only
-    interpolant when ``opts.dense`` was set on dopri5, ``None`` otherwise.
-    The stats record is shared with the backward closure: at return time
-    it counts the forward solve, and running ``.backward()`` adds the
-    augmented backward sweep's evaluations.  Gradients accumulate into
-    ``func``'s parameters and into ``y0``.
+    stepper, ``implicit_adams`` or ``dopri5``.  Returns
+    ``(solution, stats)``.  The stats record is shared with the backward
+    closure: at return time it counts the forward solve, and running
+    ``.backward()`` adds the augmented backward sweep's evaluations.
+    Gradients accumulate into ``func``'s parameters and into ``y0``.
     """
     if not hasattr(func, "parameters"):
         raise TypeError(
@@ -281,155 +295,4 @@ def adjoint_solve(func: Module, y0: Tensor, times: np.ndarray,
             "the continuous adjoint supports the fixed-grid methods "
             f"{sorted(FIXED_STEPPERS)}, implicit_adams and dopri5; "
             f"got {method!r}")
-    step_size = opts.step_size
-    params = list(func.parameters())
-    rhs = maybe_compile(func)
-    stats = SolverStats(method=f"adjoint[{method}]")
-
-    # ------------------------------------------------------------------
-    # forward pass: no tape
-    # ------------------------------------------------------------------
-    with no_grad():
-        states = [np.array(y0.data, copy=True)]
-        y = Tensor(states[0])
-        if method == "implicit_adams":
-            # The paper's solver.  Only the forward pass differs: the
-            # backward sweep below co-integrates y with RK4 from the
-            # stored interval states regardless of the forward stepper
-            # (both are 4th order, so the gradient band is unchanged).
-            def counting_rhs(t_val, y_val):
-                stats.nfev += 1
-                return rhs(t_val, y_val)
-
-            solver = AdamsBashforthMoulton(
-                counting_rhs, corrector_iters=opts.corrector_iters)
-            last_dt = None
-            for t0, t1 in zip(times[:-1], times[1:]):
-                span = float(t1 - t0)
-                n_sub = (max(1, int(np.ceil(abs(span) / step_size)))
-                         if step_size else 1)
-                dt = span / n_sub
-                if last_dt is not None and abs(dt - last_dt) > 1e-12:
-                    # ABM history is only valid on a uniform grid.
-                    solver.reset()
-                last_dt = dt
-                tau = float(t0)
-                for _ in range(n_sub):
-                    y = solver.step(tau, dt, y)
-                    tau += dt
-                stats.steps += n_sub
-                states.append(np.array(y.data, copy=True))
-        else:
-            stepper = FIXED_STEPPERS[method]
-            for t0, t1 in zip(times[:-1], times[1:]):
-                span = float(t1 - t0)
-                n_sub = (max(1, int(np.ceil(abs(span) / step_size)))
-                         if step_size else 1)
-                dt = span / n_sub
-                tau = float(t0)
-                for _ in range(n_sub):
-                    y = stepper(rhs, tau, dt, y)
-                    tau += dt
-                stats.steps += n_sub
-                states.append(np.array(y.data, copy=True))
-            stats.nfev = stats.steps * STEP_NFEV[method]
-    solution = np.stack(states, axis=0)
-
-    def backward(grad_outputs: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        nfev_before = stats.nfev
-        adj_y = np.array(grad_outputs[-1], copy=True)
-        adj_params = [np.zeros_like(p.data) for p in params]
-
-        def aug_dynamics(t_val: float, y_val: np.ndarray, a_val: np.ndarray):
-            with no_grad():
-                f_val = rhs(t_val, Tensor(y_val)).data
-            vjp_y, vjp_p = _vjp(rhs, params, t_val, y_val, a_val)
-            stats.nfev += 2  # plain RHS eval + the VJP forward pass
-            return f_val, -vjp_y, [-g for g in vjp_p]
-
-        for idx in range(len(times) - 1, 0, -1):
-            t1, t0 = float(times[idx]), float(times[idx - 1])
-            span = t0 - t1  # negative: integrating backwards
-            n_sub = max(1, int(np.ceil(abs(span) / step_size))) if step_size else 1
-            dt = span / n_sub
-            y_val = np.array(solution[idx], copy=True)
-            tau = t1
-            for _ in range(n_sub):
-                # One RK4 step of the augmented system (values only).
-                def rk(yv, av, pv, h, t_loc):
-                    f1, a1, p1 = aug_dynamics(t_loc, yv, av)
-                    f2, a2, p2 = aug_dynamics(t_loc + h / 2, yv + h / 2 * f1,
-                                              av + h / 2 * a1)
-                    f3, a3, p3 = aug_dynamics(t_loc + h / 2, yv + h / 2 * f2,
-                                              av + h / 2 * a2)
-                    f4, a4, p4 = aug_dynamics(t_loc + h, yv + h * f3,
-                                              av + h * a3)
-                    y_new = yv + h / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
-                    a_new = av + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-                    p_new = [pv_i + h / 6 * (g1 + 2 * g2 + 2 * g3 + g4)
-                             for pv_i, g1, g2, g3, g4 in
-                             zip(pv, p1, p2, p3, p4)]
-                    return y_new, a_new, p_new
-
-                y_val, adj_y, adj_params = rk(y_val, adj_y, adj_params, dt, tau)
-                tau += dt
-            adj_y = adj_y + grad_outputs[idx - 1]
-
-        for p, g in zip(params, adj_params):
-            p.grad = g if p.grad is None else p.grad + g
-        registry = get_registry()
-        if registry.enabled:
-            delta = stats.nfev - nfev_before
-            registry.inc(f"solver.{stats.method}.backward_nfev", delta)
-            registry.inc("solver.nfev", delta)
-        return (adj_y,)
-
-    out = Tensor._make_custom(
-        solution, (y0,), backward,
-        force_grad=y0.requires_grad or any(p.requires_grad for p in params))
-    return out, stats, None
-
-
-def odeint_adjoint(func: Module, y0: Tensor, t: Sequence[float],
-                   method: str = "rk4",
-                   options: SolverOptions | None = None, **legacy):
-    """Drop-in for :func:`repro.odeint.odeint` using the adjoint backward.
-
-    Thin wrapper over :func:`adjoint_solve` (the same core
-    :func:`repro.odeint.solve` dispatches to with
-    ``SolverOptions(adjoint=True)``).  ``func`` must be a Module so its
-    parameters are discoverable; gradients are accumulated directly into
-    ``func``'s parameters and into ``y0``.
-
-    Solver settings travel exclusively in a single
-    :class:`~repro.odeint.SolverOptions` object, exactly as in ``odeint``;
-    the removed legacy per-method kwargs (``step_size=``, ...) raise
-    ``TypeError`` naming the replacement, as does the removed
-    ``return_stats=`` flag (read ``solve(...).stats`` instead).
-    """
-    if legacy:
-        if "return_stats" in legacy:
-            raise TypeError(
-                "odeint_adjoint: return_stats was removed after its "
-                "deprecation window; call repro.odeint.solve() and read "
-                "Solution.stats")
-        raise TypeError(
-            f"odeint_adjoint: legacy solver kwargs {sorted(legacy)} were "
-            "removed; pass odeint_adjoint(..., options=SolverOptions(...)) "
-            "instead")
-    if method not in FIXED_STEPPERS and method not in (
-            "implicit_adams", "dopri5"):
-        raise ValueError(
-            "odeint_adjoint supports the fixed-grid methods "
-            f"{sorted(FIXED_STEPPERS)}, implicit_adams and dopri5; "
-            f"got {method!r}")
-    times = validate_times(t)
-    opts = options if options is not None else SolverOptions()
-    if not isinstance(opts, SolverOptions):
-        raise TypeError(
-            f"odeint_adjoint: options must be a SolverOptions, "
-            f"got {type(opts).__name__}")
-    opts.validate_for(method)
-    out, stats, _ = adjoint_solve(func, y0, times, method, opts)
-    stats.publish(get_registry())
-    return out
+    return _adjoint_fixed(func, y0, times, method, opts)

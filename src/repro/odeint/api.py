@@ -1,38 +1,31 @@
-"""Unified solver facade: :func:`solve` returning a :class:`Solution`.
+"""The one ODE entry point: :func:`solve` returning a :class:`Solution`.
 
-Historically the package grew one entry point per concern — ``odeint``
-(backprop through the solver), ``odeint_adjoint`` (continuous adjoint),
-``dopri5_solve`` (tuple-returning adaptive solve) — each with its own
-return convention.  :func:`solve` subsumes all of them behind a single
-call: every tunable and routing decision lives on
+Every model, baseline, streaming and serving path integrates through
+:func:`solve`.  Every tunable and routing decision lives on
 :class:`~repro.odeint.SolverOptions` (``adjoint=True`` selects the
-continuous-adjoint backward, ``dense=True`` requests a continuous
-interpolant), and every call returns a :class:`Solution` carrying the
-states, the :class:`~repro.odeint.SolverStats` record and, when
-available, the dense-output callable.  The historical entry points remain
-as thin delegating wrappers.
+continuous-adjoint backward, ``resumable=True`` returns a continuation
+point), and every call returns a :class:`Solution` carrying the states
+and the :class:`~repro.odeint.SolverStats` record.
 
 Solver stats are published to the process-wide telemetry registry on
-every call, exactly once, regardless of the entry point used.
+every call, exactly once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, maybe_compile, stack
+from ..autodiff import Tensor, stack
 from ..telemetry import get_registry
-from .adams import AdamsBashforthMoulton
 from .adjoint import adjoint_solve
-from .dopri5 import DenseOutput, _dopri5_core
-from .fixed import FIXED_STEPPERS, STEP_NFEV
+from .dopri5 import _dopri5_core
+from .fixed import _fixed_grid_solve
 from .options import SolverOptions, validate_times
 from .resume import ResumeState
-from .stats import CountingFunc, SolverStats
+from .stats import SolverStats
 
 __all__ = ["Solution", "solve", "METHODS", "ADAPTIVE_METHODS"]
 
@@ -55,11 +48,6 @@ class Solution:
         The :class:`~repro.odeint.SolverStats` cost record of the solve.
     times:
         The validated float64 output grid actually integrated over.
-    dense:
-        Continuous interpolant ``dense(t) -> Tensor`` over the integration
-        span, present when the solve was run with
-        ``SolverOptions(dense=True)`` on an adaptive method; ``None``
-        otherwise.
     resume_state:
         Continuation point for ``solve(..., resume_from=...)``, present
         when the solve ran with ``SolverOptions(resumable=True)`` or was
@@ -69,91 +57,7 @@ class Solution:
     ys: Tensor
     stats: SolverStats
     times: np.ndarray
-    dense: DenseOutput | None = None
     resume_state: ResumeState | None = None
-
-
-def _fixed_grid_solve(func: OdeFunc, y0: Tensor | None, times: np.ndarray,
-                      method: str, opts: SolverOptions,
-                      resume: ResumeState | None = None,
-                      resumable: bool = False
-                      ) -> tuple[Tensor, SolverStats, ResumeState | None]:
-    """Fixed-step and multistep integration over an explicit grid.
-
-    With ``resume`` set, integration continues from the carried state:
-    ``times[0]`` must coincide with the resume frontier (fixed-grid
-    methods have no interpolant to answer earlier times) and ``y0`` is
-    ignored in favour of the carried state.  For ``implicit_adams`` the
-    carried f-history window seeds the multistep scheme — it is reused
-    only while the grid spacing stays the one it was built on (the
-    uniform-grid reset below drops it otherwise), which makes a resumed
-    solve bitwise-identical to the unsplit one on the same grid.
-    """
-    stats = SolverStats(method=method)
-    last_dt = None
-    if resume is not None:
-        t_start = float(times[0])
-        eps_t = 1e-12 * max(1.0, abs(t_start))
-        if abs(t_start - float(resume.t)) > eps_t:
-            raise ValueError(
-                f"{method} resume must continue at the frontier "
-                f"t={float(resume.t)}; the output grid starts at {t_start}")
-        y = resume.y
-        last_dt = resume.dt
-    else:
-        y = y0
-    outputs: list[Tensor] = [y]
-    h_max = opts.step_size
-    # The fixed-step and multistep paths evaluate the same RHS expression
-    # at every sub-step; under the replay executor one trace serves them
-    # all.  CountingFunc wraps the compiled function, so nfev still counts
-    # logical RHS evaluations whether they replay or run eagerly.
-    func = maybe_compile(func)
-
-    if method == "implicit_adams":
-        counted = CountingFunc(func, stats)
-        solver = AdamsBashforthMoulton(counted,
-                                       corrector_iters=opts.corrector_iters)
-        if resume is not None and resume.history:
-            solver._history = list(resume.history)
-        for t0, t1 in zip(times[:-1], times[1:]):
-            span = float(t1 - t0)
-            n_sub = max(1, math.ceil(abs(span) / h_max)) if h_max else 1
-            dt = span / n_sub
-            if last_dt is not None and abs(dt - last_dt) > 1e-12:
-                # ABM history is only valid on a uniform grid.
-                solver.reset()
-            last_dt = dt
-            tau = float(t0)
-            for _ in range(n_sub):
-                y = solver.step(tau, dt, y)
-                tau += dt
-            stats.steps += n_sub
-            outputs.append(y)
-        state = None
-        if resumable:
-            state = ResumeState(method=method, t=float(times[-1]), y=y,
-                                dt=last_dt, history=list(solver._history))
-        return stack(outputs, axis=0), stats, state
-
-    stepper = FIXED_STEPPERS[method]
-    for t0, t1 in zip(times[:-1], times[1:]):
-        span = float(t1 - t0)
-        n_sub = max(1, math.ceil(abs(span) / h_max)) if h_max else 1
-        dt = span / n_sub
-        last_dt = dt
-        tau = float(t0)
-        for _ in range(n_sub):
-            y = stepper(func, tau, dt, y)
-            tau += dt
-        stats.steps += n_sub
-        outputs.append(y)
-    stats.nfev = stats.steps * STEP_NFEV[method]
-    state = None
-    if resumable:
-        state = ResumeState(method=method, t=float(times[-1]), y=y,
-                            dt=last_dt)
-    return stack(outputs, axis=0), stats, state
 
 
 def solve(func: OdeFunc, y0: Tensor | None, t: Sequence[float],
@@ -169,16 +73,11 @@ def solve(func: OdeFunc, y0: Tensor | None, t: Sequence[float],
     * ``options.adjoint=True`` computes gradients with the continuous
       adjoint (O(state) memory; ``func`` must be a Module so its
       parameters are discoverable).  Fixed-grid methods co-integrate ``y``
-      backward; dopri5 reads ``y(t)`` from its dense-output segments
-      (``options.adjoint_storage`` picks between storing them all and
-      re-solving per interval);
-    * ``options.dense=True`` additionally returns the continuous
-      dense-output interpolant as ``Solution.dense`` (dopri5 only;
-      values-only when combined with the adjoint).
+      backward; dopri5 reads ``y(t)`` from its dense-output segments.
 
-    ``t`` must be strictly monotonic (either direction); ``y0`` is the
-    state at ``t[0]``.  Solver stats publish to the telemetry registry
-    exactly once per call.
+    ``t`` must be finite and strictly monotonic (either direction); ``y0``
+    is the state at ``t[0]``.  Solver stats publish to the telemetry
+    registry exactly once per call.
 
     ``resume_from`` continues a previous resumable solve from its
     ``Solution.resume_state``: ``y0`` may then be ``None`` (the carried
@@ -210,32 +109,21 @@ def solve(func: OdeFunc, y0: Tensor | None, t: Sequence[float],
         raise ValueError("solve: y0 may only be None with resume_from")
     resumable = opts.resumable or resume_from is not None
 
-    dense = None
     state = None
     if opts.adjoint:
-        ys, stats, dense = adjoint_solve(func, y0, times, method, opts)
+        ys, stats = adjoint_solve(func, y0, times, method, opts)
     elif method == "dopri5":
-        segments: list | None = [] if opts.dense else None
         outputs, stats, state = _dopri5_core(
-            func, y0, times, opts.rtol, opts.atol, opts.first_step,
-            opts.max_steps, segments=segments, resume=resume_from,
-            resumable=resumable)
+            func, y0, times, opts.rtol, opts.atol, opts.max_steps,
+            resume=resume_from, resumable=resumable)
         ys = stack(outputs, axis=0)
-        if segments:
-            dense = DenseOutput(segments, float(times[0]),
-                                y0 if y0 is not None else outputs[0])
-        reg = get_registry()
-        if resume_from is not None and reg.enabled:
-            reg.inc("streaming.resume_hits")
     else:
-        ys, stats, state = _fixed_grid_solve(func, y0, times, method, opts,
-                                             resume=resume_from,
-                                             resumable=resumable)
-        if resume_from is not None:
-            reg = get_registry()
-            if reg.enabled:
-                reg.inc("streaming.resume_hits")
+        ys, stats, state = _fixed_grid_solve(
+            func, y0, times, method, opts.step_size, resume=resume_from,
+            resumable=resumable)
 
-    stats.publish(get_registry())
-    return Solution(ys=ys, stats=stats, times=times, dense=dense,
-                    resume_state=state)
+    registry = get_registry()
+    if resume_from is not None and registry.enabled:
+        registry.inc("streaming.resume_hits")
+    stats.publish(registry)
+    return Solution(ys=ys, stats=stats, times=times, resume_state=state)

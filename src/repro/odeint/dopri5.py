@@ -15,8 +15,8 @@ One continuous integration answers every requested output time:
   is ``safety * err^-alpha * err_prev^beta`` with ``alpha = 0.7/5`` and
   ``beta = 0.4/5``; rejected steps shrink with the plain I-factor
   ``safety * err^-0.2`` and the next accepted step may not grow.  The
-  initial step, when not supplied, comes from the HNW starting-step
-  heuristic instead of an arbitrary fraction of the span.
+  initial step comes from the HNW starting-step heuristic instead of an
+  arbitrary fraction of the span.
 * **Per-sample error control**: the error norm is taken per batch element,
   and the controller follows the worst *active* sample.  Samples whose
   error stays a factor ``freeze_threshold`` below tolerance for
@@ -35,17 +35,15 @@ differentiable Tensor expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ..autodiff import Tensor, maybe_compile, no_grad, stack
-from .options import validate_times
+from ..autodiff import Tensor, maybe_compile, no_grad
 from .resume import ResumeState
 from .stats import SolverStats
 
-__all__ = ["DenseOutput", "dopri5_dense_solve", "dopri5_integrate",
-           "dopri5_solve", "PIController", "initial_step_size"]
+__all__ = ["PIController", "initial_step_size"]
 
 OdeFunc = Callable[[float, Tensor], Tensor]
 
@@ -189,60 +187,8 @@ def _dense_eval(y_old: Tensor, k: list[Tensor], h: float,
     return out
 
 
-class DenseOutput:
-    """Continuous solution built from one dopri5 integration's segments.
-
-    Each accepted step contributes ``(t, h, y_old, k)``; calling the object
-    at any time inside the integration span evaluates that step's quartic
-    interpolant (:func:`_dense_eval`), so the result is a differentiable
-    Tensor expression sharing the solve's tape.  Query times outside the
-    span raise ``ValueError`` — the interpolant is not an extrapolant.
-    """
-
-    def __init__(self, segments: list[tuple[float, float, Tensor, list[Tensor]]],
-                 t0: float, y0: Tensor):
-        if not segments:
-            raise ValueError("DenseOutput needs at least one accepted step")
-        self._segments = segments
-        self._t0 = float(t0)
-        self._y0 = y0
-        self._starts = np.array([s[0] for s in segments], dtype=np.float64)
-        last_t, last_h = segments[-1][0], segments[-1][1]
-        self._t_end = last_t + last_h
-        self._direction = 1.0 if last_h > 0 else -1.0
-
-    @property
-    def span(self) -> tuple[float, float]:
-        """(initial time, final time) of the underlying integration."""
-        return self._t0, self._t_end
-
-    def __call__(self, t: float) -> Tensor:
-        """Interpolated state at time ``t`` (differentiable)."""
-        t = float(t)
-        lo = min(self._t0, self._t_end)
-        hi = max(self._t0, self._t_end)
-        eps = 1e-12 * max(1.0, abs(hi))
-        if t < lo - eps or t > hi + eps:
-            raise ValueError(
-                f"t={t} outside the integration span [{lo}, {hi}]")
-        if abs(t - self._t0) <= eps:
-            return self._y0
-        # Locate the accepted step whose [t_i, t_i + h_i] contains t.
-        if self._direction > 0:
-            idx = int(np.searchsorted(self._starts, t, side="right")) - 1
-        else:
-            idx = len(self._starts) - 1 - int(
-                np.searchsorted(self._starts[::-1], t, side="left"))
-        idx = int(np.clip(idx, 0, len(self._segments) - 1))
-        t_i, h_i, y_old, k = self._segments[idx]
-        theta = float(np.clip((t - t_i) / h_i, 0.0, 1.0))
-        return _dense_eval(y_old, k, h_i, theta)
-
-
 def _dopri5_core(func: OdeFunc, y0: Tensor | None, times: np.ndarray,
-                 rtol: float, atol: float,
-                 first_step: float | None,
-                 max_steps: int,
+                 rtol: float, atol: float, max_steps: int,
                  freeze_threshold: float = 1e-2,
                  freeze_patience: int = 3,
                  segments: list | None = None,
@@ -252,8 +198,8 @@ def _dopri5_core(func: OdeFunc, y0: Tensor | None, times: np.ndarray,
     """One continuous adaptive integration over all ``times``.
 
     When ``segments`` is a list, every accepted step appends
-    ``(t, h, y_old, k)`` to it so the caller can build a
-    :class:`DenseOutput` — opt-in because it pins O(steps) extra Tensors.
+    ``(t, h, y_old, k)`` to it (the continuous adjoint reads ``y(t)`` back
+    out of these) - opt-in because it pins O(steps) extra Tensors.
 
     ``resumable=True`` switches to the continuation-friendly stepping
     contract (see :mod:`repro.odeint.resume`): trial steps are *not*
@@ -339,8 +285,6 @@ def _dopri5_core(func: OdeFunc, y0: Tensor | None, times: np.ndarray,
             stats.nfev += 1
         if resume is not None and resume.dt is not None:
             dt = float(resume.dt)
-        elif first_step is not None:
-            dt = abs(float(first_step))
         else:
             dt = initial_step_size(func, t, y, f0, direction, rtol, atol)
             stats.nfev += 1
@@ -430,104 +374,3 @@ def _dopri5_core(func: OdeFunc, y0: Tensor | None, times: np.ndarray,
             segment=last_seg, frozen=frozen.copy(),
             calm_streak=calm_streak.copy())
     return outputs, stats, state
-
-
-def dopri5_solve(func: OdeFunc, y0: Tensor, times: Sequence[float],
-                 rtol: float = 1e-5, atol: float = 1e-7,
-                 first_step: float | None = None,
-                 max_steps: int = 10_000,
-                 segments: list | None = None) -> tuple[Tensor, SolverStats]:
-    """Adaptive solve over all output ``times`` in one continuous pass.
-
-    Returns ``(solution, stats)`` where ``solution`` stacks the states at
-    every requested time along a new leading axis (``times[0]`` maps to
-    ``y0``) and ``stats`` is the :class:`~repro.odeint.SolverStats` record
-    of the solve.
-
-    ``times`` must be strictly monotonic but may run in either direction;
-    decreasing grids integrate backwards in time (the dense-output emission
-    loop follows the integration direction - see
-    ``tests/odeint/test_reverse_time.py``).  Before this validation a
-    non-monotonic grid silently produced dense-output extrapolations with
-    ``theta`` outside [0, 1].
-
-    ``segments``, when a list, receives each accepted step's
-    ``(t, h, y_old, k)`` record for building a :class:`DenseOutput`.
-    """
-    times = validate_times(times)
-    outputs, stats, _ = _dopri5_core(func, y0, times, rtol, atol,
-                                     first_step, max_steps, segments=segments)
-    return stack(outputs, axis=0), stats
-
-
-def dopri5_integrate(func: OdeFunc, y0: Tensor, t0: float, t1: float,
-                     rtol: float = 1e-5, atol: float = 1e-7,
-                     first_step: float | None = None,
-                     max_steps: int = 10_000) -> Tensor:
-    """Integrate from ``t0`` to ``t1`` adaptively; returns ``y(t1)``.
-
-    Thin wrapper over :func:`dopri5_solve` kept for API compatibility.
-    """
-    if t1 == t0:
-        return y0
-    times = np.array([t0, t1], dtype=np.float64)
-    outputs, _, _ = _dopri5_core(func, y0, times, rtol, atol,
-                                 first_step, max_steps)
-    return outputs[-1]
-
-
-def dopri5_dense_solve(func: OdeFunc, y0: Tensor,
-                       sample_times: Sequence[np.ndarray], *,
-                       t0: float | None = None,
-                       rtol: float = 1e-5, atol: float = 1e-7,
-                       first_step: float | None = None,
-                       max_steps: int = 10_000
-                       ) -> tuple[list[Tensor], SolverStats]:
-    """One union-grid solve, read out at each sample's own times.
-
-    This is the dense-readout entry behind union-grid batching (Lam et
-    al., arXiv 2207.05708): ``sample_times[i]`` is sample ``i``'s own
-    strictly-increasing observation grid, ``y0`` is the batched state at
-    the common initial time ``t0`` (default: the earliest time across all
-    samples).  The solver integrates **once** over the merged union of
-    all grids — intermediate times cost dense-interpolant evaluations,
-    not extra steps — and each sample's states are gathered back out at
-    only its own times.
-
-    Returns ``(per_sample, stats)`` where ``per_sample[i]`` has shape
-    ``(len(sample_times[i]), *y0.shape[1:])`` and remains a
-    differentiable view into the single shared solve.  Forward
-    integration only: every sample time must be ``>= t0``.
-    """
-    arrays = [np.asarray(ts, dtype=np.float64).reshape(-1)
-              for ts in sample_times]
-    if len(arrays) != (y0.shape[0] if y0.ndim >= 1 else 1):
-        raise ValueError(
-            f"got {len(arrays)} sample grids for batch of {y0.shape[0]}")
-    non_empty = [a for a in arrays if a.size]
-    if not non_empty:
-        raise ValueError("dopri5_dense_solve needs at least one observation")
-    union = np.unique(np.concatenate(non_empty))
-    start = float(union[0]) if t0 is None else float(t0)
-    if union[0] < start:
-        raise ValueError(
-            f"sample time {union[0]} precedes the initial time t0={start}")
-
-    prepend = union[0] > start
-    grid = np.concatenate([[start], union]) if prepend else union
-    offset = 1 if prepend else 0
-
-    if len(grid) < 2:
-        # Every observation coincides with t0: nothing to integrate.
-        outputs = [y0]
-        stats = SolverStats(method="dopri5")
-    else:
-        outputs, stats, _ = _dopri5_core(func, y0, grid, rtol, atol,
-                                         first_step, max_steps)
-    stacked = stack(outputs, axis=0)
-
-    per_sample: list[Tensor] = []
-    for i, a in enumerate(arrays):
-        pos = np.searchsorted(union, a) + offset
-        per_sample.append(stacked[pos, np.full(a.size, i, dtype=np.int64)])
-    return per_sample, stats

@@ -1,17 +1,14 @@
 """Consolidated solver configuration: :class:`SolverOptions`.
 
-``odeint`` grew one keyword per solver family (``step_size`` for fixed
-grids, ``rtol``/``atol``/``first_step``/``max_steps`` for dopri5,
-``corrector_iters`` for implicit Adams).  Following torchdiffeq's
-``options=`` idiom, all of them now live on one dataclass::
+Following torchdiffeq's ``options=`` idiom, every tunable of every method
+lives on one dataclass passed to :func:`repro.odeint.solve`::
 
-    from repro.odeint import SolverOptions, odeint
-    sol = odeint(f, y0, t, method="dopri5",
-                 options=SolverOptions(rtol=1e-6, atol=1e-8))
+    from repro.odeint import SolverOptions, solve
+    sol = solve(f, y0, t, method="dopri5",
+                options=SolverOptions(rtol=1e-6, atol=1e-8))
 
-The old per-method kwargs are gone: every entry point (``odeint``,
-``odeint_adjoint``, ``solve``) raises ``TypeError`` naming this class when
-one is passed.
+``solve`` takes no per-method keyword arguments; passing one (the old
+``step_size=``, ``rtol=``, ... style) raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -25,16 +22,18 @@ __all__ = ["SolverOptions", "validate_times"]
 
 
 def validate_times(t: Sequence[float]) -> np.ndarray:
-    """Check a time grid is strictly monotonic (either direction).
+    """Check a time grid is finite and strictly monotonic (either direction).
 
-    Shared by ``odeint``, ``odeint_adjoint`` and ``dopri5_solve`` so no
-    solver path - in particular dopri5's dense-output emission loop, which
-    walks the grid in integration order - can ever see a non-monotonic
-    grid.  Returns the grid as a float64 1-D array.
+    Called by :func:`repro.odeint.solve` so no solver path - in particular
+    dopri5's dense-output emission loop, which walks the grid in
+    integration order - can ever see a non-monotonic or unbounded grid.
+    Returns the grid as a float64 1-D array.
     """
     times = np.asarray(t, dtype=np.float64).reshape(-1)
     if times.size < 2:
-        raise ValueError("odeint needs at least two time points")
+        raise ValueError("solve needs at least two time points")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time points must be finite")
     diffs = np.diff(times)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("time points must be strictly monotonic")
@@ -43,11 +42,10 @@ def validate_times(t: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Every tunable of every ``odeint`` method in one place.
+    """Every tunable of every :func:`repro.odeint.solve` method in one place.
 
-    Methods ignore the fields that do not apply to them, except for the two
-    historical safety checks: ``step_size`` is rejected by ``dopri5`` (use
-    ``first_step``) and ``first_step`` is rejected by fixed-grid methods.
+    Methods ignore the fields that do not apply to them, except that
+    ``dopri5`` rejects ``step_size`` (its step is chosen adaptively).
 
     Attributes
     ----------
@@ -56,31 +54,15 @@ class SolverOptions:
         per output interval.
     rtol, atol:
         Error tolerances for the adaptive ``dopri5`` method.
-    corrector_iters:
-        Corrector sweeps for ``implicit_adams`` (1 = PECE).
-    first_step:
-        Initial step magnitude for ``dopri5`` (HNW heuristic otherwise).
     max_steps:
-        Trial-step budget for ``dopri5``.
+        Trial-step budget for ``dopri5``: the safety bound on a runaway
+        solve.
     adjoint:
         Route :func:`repro.odeint.solve` through the continuous adjoint
         backward (O(state) memory) instead of backprop through the solver.
         Fixed-grid methods and ``implicit_adams`` co-integrate ``y``
         backward with RK4; dopri5 reads ``y(t)`` from the forward pass's
         dense-output segments.
-    adjoint_storage:
-        How the dopri5 adjoint keeps the forward trajectory for its
-        backward sweep: ``"dense"`` (default) stores every accepted step's
-        dense-output segment, ``"resolve"`` keeps only the states at output
-        times and re-solves each interval on demand during backward —
-        memory O(max steps per interval) when the dense store is itself
-        the bound.  Only meaningful with ``adjoint=True`` on dopri5.
-    dense:
-        Ask :func:`repro.odeint.solve` to also return a continuous
-        ``Solution.dense`` interpolant (dopri5 only; pins the accepted
-        steps' stage Tensors for the life of the Solution).  Combined with
-        ``adjoint=True`` the interpolant is values-only (the adjoint
-        forward runs without a tape).
     resumable:
         Ask :func:`repro.odeint.solve` to return a continuation point as
         ``Solution.resume_state`` (see :mod:`repro.odeint.resume`) for a
@@ -96,12 +78,8 @@ class SolverOptions:
     step_size: float | None = None
     rtol: float = 1e-5
     atol: float = 1e-7
-    corrector_iters: int = 1
-    first_step: float | None = None
     max_steps: int = 10_000
     adjoint: bool = False
-    adjoint_storage: str = "dense"
-    dense: bool = False
     resumable: bool = False
 
     def __post_init__(self) -> None:
@@ -109,45 +87,18 @@ class SolverOptions:
             raise ValueError("step_size must be positive")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be positive")
-        if self.corrector_iters < 1:
-            raise ValueError("corrector_iters must be >= 1")
-        if self.first_step is not None and self.first_step <= 0:
-            raise ValueError("first_step must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.adjoint_storage not in ("dense", "resolve"):
-            raise ValueError(
-                "adjoint_storage must be 'dense' or 'resolve', "
-                f"got {self.adjoint_storage!r}")
 
     def validate_for(self, method: str) -> "SolverOptions":
         """Apply the per-method exclusivity rules; returns self."""
         if method == "dopri5" and self.step_size is not None:
             raise ValueError(
                 "dopri5 is adaptive: 'step_size' only applies to fixed-grid "
-                "methods. Pass SolverOptions.first_step to seed the adaptive "
-                "controller.")
-        if method != "dopri5" and self.first_step is not None:
-            raise ValueError(
-                "'first_step' only applies to the adaptive dopri5 method; "
-                "fixed-grid methods take 'step_size'.")
-        if self.adjoint_storage != "dense":
-            if not self.adjoint or method != "dopri5":
-                raise ValueError(
-                    "adjoint_storage='resolve' only applies to the dopri5 "
-                    "continuous adjoint (adjoint=True, method='dopri5')")
-            if self.dense:
-                raise ValueError(
-                    "dense=True needs the segment store the 'resolve' "
-                    "adjoint storage discards; use adjoint_storage='dense'")
-        if self.dense and method != "dopri5":
-            raise ValueError(
-                "dense output requires the dopri5 method")
+                "methods; tune the adaptive controller with rtol/atol.")
         if self.resumable and self.adjoint:
             raise ValueError(
                 "resumable solves carry forward-solver internals; they "
                 "cannot be combined with the continuous adjoint "
                 "(adjoint=True)")
         return self
-
-

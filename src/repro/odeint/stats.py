@@ -1,7 +1,7 @@
 """Instrumentation shared by every solver: :class:`SolverStats`.
 
-Each ``odeint`` call (and each ``DiffODE.integrate`` / baseline solve built
-on top of it) can report what the integration actually cost, so solver
+Each :func:`~repro.odeint.solve` call (and each ``DiffODE.integrate`` /
+baseline solve built on top of it) can report what the integration actually cost, so solver
 regressions show up as numbers instead of silent wall-clock drift.  The
 record is intentionally plain-python/JSON-friendly: the benchmark suite
 serialises it into ``BENCH_solver.json``.
@@ -35,8 +35,8 @@ class SolverStats:
         Output times answered by the dense-output interpolant instead of a
         step landing exactly on them (dopri5 only).
     first_step:
-        The initial step size actually used (after the automatic
-        heuristic, when no explicit ``first_step`` was supplied).
+        The initial step size dopri5 actually used (from the starting-step
+        heuristic, or carried over by a resumed solve).
     freeze_counts:
         Per-sample number of accepted steps each batch element spent frozen
         (excluded from step-size control); ``None`` for solvers without
@@ -59,7 +59,7 @@ class SolverStats:
     def merge(self, other: "SolverStats") -> "SolverStats":
         """Accumulate another solve's counters into this record (in place).
 
-        Used when one logical forward pass issues several ``odeint`` calls.
+        Used when one logical forward pass issues several solves.
         """
         self.steps += other.steps
         self.rejects += other.rejects

@@ -14,7 +14,7 @@ import pytest
 from repro.autodiff import Tensor, concat
 from repro.core import ContextState, DHSDynamics
 from repro.nn import Linear, MLP, Module
-from repro.odeint import SolverOptions, odeint_adjoint, solve
+from repro.odeint import SolverOptions, solve
 from repro.telemetry import MetricsRegistry, set_registry
 
 RTOL = 1e-7
@@ -47,12 +47,11 @@ class LatentField(Module):
         return self.f(concat([y, t_col], axis=-1))
 
 
-def _grads(func, y0_data, times, *, adjoint, storage="dense"):
+def _grads(func, y0_data, times, *, adjoint):
     """Loss gradients (y0, params) via backprop or the continuous adjoint."""
     func.zero_grad()
     y0 = Tensor(np.array(y0_data, copy=True), requires_grad=True)
-    opts = SolverOptions(rtol=RTOL, atol=ATOL, adjoint=adjoint,
-                         adjoint_storage=storage)
+    opts = SolverOptions(rtol=RTOL, atol=ATOL, adjoint=adjoint)
     sol = solve(func, y0, times, method="dopri5", options=opts)
     (sol.ys ** 2).mean().backward()
     gy = y0.grad.copy()
@@ -77,19 +76,6 @@ class TestGradientEquivalence:
         np.testing.assert_array_equal(out_bp, out_adj)
         np.testing.assert_allclose(gy_adj, gy_bp, **BAND)
         for a, b in zip(gp_adj, gp_bp):
-            np.testing.assert_allclose(a, b, **BAND)
-
-    def test_resolve_storage_matches_dense(self, rng):
-        func = SmallField(rng)
-        y0 = rng.normal(size=(2, 4))
-        times = np.linspace(0.0, 2.0, 5)
-        _, gy_d, gp_d = _grads(func, y0, times, adjoint=True)
-        _, gy_r, gp_r = _grads(func, y0, times, adjoint=True,
-                               storage="resolve")
-        # Both integrate the same augmented system; the resolve path's y(t)
-        # comes from a fresh per-interval solve instead of stored segments.
-        np.testing.assert_allclose(gy_r, gy_d, **BAND)
-        for a, b in zip(gp_r, gp_d):
             np.testing.assert_allclose(a, b, **BAND)
 
     def test_reverse_time_grid(self, rng):
@@ -159,40 +145,3 @@ class TestPublishOnce:
         assert back > 0
         assert (registry.counter("solver.nfev").value
                 == nfev_forward + back)
-
-    def test_resolve_mode_counts_resolves(self, rng, registry):
-        func = SmallField(rng)
-        y0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        times = np.linspace(0.0, 1.0, 5)
-        sol = solve(func, y0, times, method="dopri5",
-                    options=SolverOptions(rtol=RTOL, atol=ATOL, adjoint=True,
-                                          adjoint_storage="resolve"))
-        (sol.ys ** 2).mean().backward()
-        # One re-solve per output interval.
-        assert (registry.counter("solver.adjoint.resolves").value
-                == len(times) - 1)
-
-    def test_wrapper_publishes_once_too(self, rng, registry):
-        func = SmallField(rng)
-        odeint_adjoint(func, Tensor(np.ones((1, 4))), [0.0, 1.0],
-                       method="dopri5",
-                       options=SolverOptions(rtol=RTOL, atol=ATOL))
-        assert registry.counter("solver.adjoint[dopri5].solves").value == 1
-
-
-class TestDenseWithAdjoint:
-    def test_values_only_interpolant(self, rng):
-        func = SmallField(rng)
-        y0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        times = np.linspace(0.0, 1.0, 3)
-        sol = solve(func, y0, times, method="dopri5",
-                    options=SolverOptions(rtol=RTOL, atol=ATOL,
-                                          adjoint=True, dense=True))
-        mid = sol.dense(0.5)
-        # The interpolant agrees with a direct output-time evaluation.
-        ref = solve(func, Tensor(y0.data), [0.0, 0.5], method="dopri5",
-                    options=SolverOptions(rtol=RTOL, atol=ATOL))
-        np.testing.assert_allclose(mid.data, ref.ys.data[-1], atol=1e-6)
-        # ...and the solve still differentiates through the adjoint.
-        (sol.ys ** 2).mean().backward()
-        assert y0.grad is not None

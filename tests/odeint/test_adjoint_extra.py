@@ -5,7 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor, concat
 from repro.nn import Linear, Module
-from repro.odeint import SolverOptions, odeint, odeint_adjoint
+from repro.odeint import SolverOptions, solve
 
 
 class TimeField(Module):
@@ -25,9 +25,9 @@ class TestAdjointTimeDependent:
         rng = np.random.default_rng(rng_seed)
         field = TimeField(rng)
         y0 = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        solver = odeint_adjoint if use_adjoint else odeint
-        out = solver(field, y0, [0.0, 0.4, 1.1], method="rk4",
-                     options=SolverOptions(step_size=0.05))
+        out = solve(field, y0, [0.0, 0.4, 1.1], method="rk4",
+                    options=SolverOptions(step_size=0.05,
+                                          adjoint=use_adjoint)).ys
         ((out - 0.3) ** 2).mean().backward()
         return (y0.grad.copy(),
                 [p.grad.copy() for p in field.parameters()],
@@ -45,8 +45,8 @@ class TestAdjointTimeDependent:
         rng = np.random.default_rng(0)
         field = TimeField(rng)
         y0 = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-        out = odeint_adjoint(field, y0, np.linspace(0, 5, 6),
-                             method="rk4", options=SolverOptions(step_size=0.1))
+        out = solve(field, y0, np.linspace(0, 5, 6), method="rk4",
+                    options=SolverOptions(step_size=0.1, adjoint=True)).ys
         (out ** 2).mean().backward()
         assert np.all(np.isfinite(y0.grad))
 
@@ -55,15 +55,15 @@ class TestAdjointTimeDependent:
         rng = np.random.default_rng(1)
         field = TimeField(rng)
         y0 = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-        out = odeint_adjoint(field, y0, [0.0, 1.0], method="euler",
-                             options=SolverOptions(step_size=0.01))
+        out = solve(field, y0, [0.0, 1.0], method="euler",
+                    options=SolverOptions(step_size=0.01, adjoint=True)).ys
         (out ** 2).mean().backward()
         g_euler = y0.grad.copy()
 
         field.zero_grad()
         y0b = Tensor(y0.data.copy(), requires_grad=True)
-        out2 = odeint_adjoint(field, y0b, [0.0, 1.0], method="rk4",
-                              options=SolverOptions(step_size=0.01))
+        out2 = solve(field, y0b, [0.0, 1.0], method="rk4",
+                     options=SolverOptions(step_size=0.01, adjoint=True)).ys
         (out2 ** 2).mean().backward()
         # first-order forward error carries into the adjoint: O(h) ~ 1e-2
         np.testing.assert_allclose(g_euler, y0b.grad, atol=2e-2)

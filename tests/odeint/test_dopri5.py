@@ -4,47 +4,55 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, get_executor
-from repro.odeint import PIController, dopri5_integrate, dopri5_solve
+from repro.odeint import PIController, SolverOptions, solve
+from repro.parallel.union import dopri5_dense_solve
+
+
+def _final(func, y0, t0, t1, **tolerances):
+    """y(t1) of one adaptive solve from (t0, y0)."""
+    return solve(func, y0, [t0, t1], method="dopri5",
+                 options=SolverOptions(**tolerances)).ys[-1]
 
 
 class TestDopri5:
     def test_zero_span_returns_input(self):
+        # Every observation at t0: the union readout integrates nothing.
         y0 = Tensor(np.ones((2, 2)))
-        assert dopri5_integrate(lambda t, y: -y, y0, 1.0, 1.0) is y0
+        per, stats = dopri5_dense_solve(lambda t, y: -y, y0,
+                                        [np.array([1.0])] * 2, t0=1.0)
+        assert stats.nfev == 0
+        for i, out in enumerate(per):
+            np.testing.assert_array_equal(out.data, y0.data[i:i + 1])
 
     def test_tolerance_controls_error(self):
-        def solve(rtol):
-            out = dopri5_integrate(lambda t, y: -y,
-                                   Tensor(np.array([[1.0]])), 0.0, 3.0,
-                                   rtol=rtol, atol=rtol * 1e-2)
+        def err(rtol):
+            out = _final(lambda t, y: -y, Tensor(np.array([[1.0]])),
+                         0.0, 3.0, rtol=rtol, atol=rtol * 1e-2)
             return abs(out.data[0, 0] - np.exp(-3.0))
 
-        assert solve(1e-8) < solve(1e-3)
-        assert solve(1e-8) < 1e-7
+        assert err(1e-8) < err(1e-3)
+        assert err(1e-8) < 1e-7
 
     def test_stiffish_problem_adapts(self):
         # lambda = -50 forces small steps initially
-        out = dopri5_integrate(lambda t, y: y * (-50.0),
-                               Tensor(np.array([[1.0]])), 0.0, 1.0,
-                               rtol=1e-6, atol=1e-8)
+        out = _final(lambda t, y: y * (-50.0), Tensor(np.array([[1.0]])),
+                     0.0, 1.0, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(out.data[0, 0], np.exp(-50.0), atol=1e-7)
 
     def test_backward_integration(self):
-        out = dopri5_integrate(lambda t, y: -y,
-                               Tensor(np.array([[np.exp(-1.0)]])), 1.0, 0.0)
+        out = _final(lambda t, y: -y, Tensor(np.array([[np.exp(-1.0)]])),
+                     1.0, 0.0)
         np.testing.assert_allclose(out.data[0, 0], 1.0, atol=1e-5)
 
     def test_max_steps_guard(self):
         with pytest.raises(RuntimeError):
-            dopri5_integrate(lambda t, y: y * 1000.0,
-                             Tensor(np.array([[1.0]])), 0.0, 10.0,
-                             rtol=1e-12, atol=1e-14, max_steps=5)
+            _final(lambda t, y: y * 1000.0, Tensor(np.array([[1.0]])),
+                   0.0, 10.0, rtol=1e-12, atol=1e-14, max_steps=5)
 
     def test_time_dependent_rhs(self):
         # y' = 2t -> y(1) = y(0) + 1
-        out = dopri5_integrate(
-            lambda t, y: Tensor(np.full_like(y.data, 2.0 * t)),
-            Tensor(np.array([[0.5]])), 0.0, 1.0)
+        out = _final(lambda t, y: Tensor(np.full_like(y.data, 2.0 * t)),
+                     Tensor(np.array([[0.5]])), 0.0, 1.0)
         np.testing.assert_allclose(out.data[0, 0], 1.5, atol=1e-6)
 
 
@@ -58,8 +66,8 @@ class TestFSALAccounting:
             calls.append(t)
             return -y
 
-        _, stats = dopri5_solve(f, Tensor(np.ones((1, 2))),
-                                np.linspace(0.0, 2.0, 9))
+        stats = solve(f, Tensor(np.ones((1, 2))),
+                      np.linspace(0.0, 2.0, 9)).stats
         if get_executor() == "replay":
             # The replay executor re-runs the recorded trace without
             # re-entering the Python RHS; only the trace + validation
@@ -70,29 +78,13 @@ class TestFSALAccounting:
         # 1 initial eval + 1 for the starting-step heuristic + 6 per trial.
         assert stats.nfev == 2 + 6 * (stats.steps + stats.rejects)
 
-    def test_explicit_first_step_skips_heuristic_eval(self):
-        calls = []
-
-        def f(t, y):
-            calls.append(t)
-            return -y
-
-        _, stats = dopri5_solve(f, Tensor(np.ones((1, 2))), [0.0, 1.0],
-                                first_step=0.1)
-        if get_executor() == "replay":
-            assert 2 <= len(calls) < stats.nfev
-        else:
-            assert stats.nfev == len(calls)
-        assert stats.nfev == 1 + 6 * (stats.steps + stats.rejects)
-        assert stats.first_step == pytest.approx(0.1)
-
     def test_rejections_are_counted(self):
-        # A large forced first step on a stiff problem must be rejected.
-        _, stats = dopri5_solve(lambda t, y: y * (-80.0),
-                                Tensor(np.ones((1, 1))), [0.0, 1.0],
-                                first_step=1.0, rtol=1e-8, atol=1e-10)
+        # The starting-step heuristic overshoots on this stiff decay.
+        stats = solve(lambda t, y: y * (-80.0), Tensor(np.ones((1, 1))),
+                      [0.0, 1.0],
+                      options=SolverOptions(rtol=1e-8, atol=1e-10)).stats
         assert stats.rejects >= 1
-        assert stats.nfev == 1 + 6 * (stats.steps + stats.rejects)
+        assert stats.nfev == 2 + 6 * (stats.steps + stats.rejects)
 
 
 class TestDenseOutput:
@@ -102,13 +94,13 @@ class TestDenseOutput:
             return y * np.cos(t)
 
         times = np.linspace(0.0, 3.0, 15)
-        sol, stats = dopri5_solve(f, Tensor(np.array([[1.0]])), times,
-                                  rtol=1e-7, atol=1e-9)
-        assert stats.dense_evals > 0
+        res = solve(f, Tensor(np.array([[1.0]])), times,
+                    options=SolverOptions(rtol=1e-7, atol=1e-9))
+        assert res.stats.dense_evals > 0
         for i, tq in enumerate(times[1:], start=1):
-            ref = dopri5_integrate(f, Tensor(np.array([[1.0]])), 0.0,
-                                   float(tq), rtol=1e-11, atol=1e-13)
-            assert abs(sol.data[i, 0, 0] - ref.data[0, 0]) <= 1e-6
+            ref = _final(f, Tensor(np.array([[1.0]])), 0.0, float(tq),
+                         rtol=1e-11, atol=1e-13)
+            assert abs(res.ys.data[i, 0, 0] - ref.data[0, 0]) <= 1e-6
 
     def test_nfev_independent_of_output_count(self):
         """50 irregular output times must not cost ~50x the RHS evals."""
@@ -117,27 +109,26 @@ class TestDenseOutput:
         rng_times = np.unique(rng_times)
         assert len(rng_times) >= 50 - 3
 
-        _, few = dopri5_solve(lambda t, y: -y, Tensor(np.ones((1, 1))),
-                              np.linspace(0.0, 2.0, 5))
-        _, many = dopri5_solve(lambda t, y: -y, Tensor(np.ones((1, 1))),
-                               rng_times)
+        few = solve(lambda t, y: -y, Tensor(np.ones((1, 1))),
+                    np.linspace(0.0, 2.0, 5)).stats
+        many = solve(lambda t, y: -y, Tensor(np.ones((1, 1))),
+                     rng_times).stats
         # Identical dynamics and span: the step sequence is what costs.
         assert many.nfev <= few.nfev * 1.25
         assert many.dense_evals >= len(rng_times) - 10
 
     def test_dense_output_is_differentiable(self):
         y0 = Tensor(np.array([[1.0]]), requires_grad=True)
-        sol, stats = dopri5_solve(lambda t, y: -y, y0,
-                                  np.linspace(0.0, 1.0, 11))
-        assert stats.dense_evals > 0
-        sol.sum().backward()
+        res = solve(lambda t, y: -y, y0, np.linspace(0.0, 1.0, 11))
+        assert res.stats.dense_evals > 0
+        res.ys.sum().backward()
         expected = sum(np.exp(-t) for t in np.linspace(0.0, 1.0, 11))
         np.testing.assert_allclose(y0.grad, [[expected]], atol=1e-5)
 
     def test_backward_time_dense_output(self):
         times = np.linspace(1.0, 0.0, 7)
-        sol, _ = dopri5_solve(lambda t, y: -y,
-                              Tensor(np.array([[np.exp(-1.0)]])), times)
+        sol = solve(lambda t, y: -y,
+                    Tensor(np.array([[np.exp(-1.0)]])), times).ys
         np.testing.assert_allclose(sol.data[:, 0, 0], np.exp(-times),
                                    atol=1e-6)
 
@@ -151,11 +142,11 @@ class TestPerSampleControl:
             return y * Tensor(-rates)
 
         times = np.linspace(0.0, 1.0, 9)
-        sol, _ = dopri5_solve(batched, Tensor(np.ones((3, 1))), times)
+        sol = solve(batched, Tensor(np.ones((3, 1))), times).ys
 
         for i, rate in enumerate(rates[:, 0]):
-            single, _ = dopri5_solve(lambda t, y, r=rate: y * (-r),
-                                     Tensor(np.ones((1, 1))), times)
+            single = solve(lambda t, y, r=rate: y * (-r),
+                           Tensor(np.ones((1, 1))), times).ys
             np.testing.assert_allclose(sol.data[:, i, 0],
                                        single.data[:, 0, 0], atol=2e-5)
         np.testing.assert_allclose(sol.data[-1, :, 0],
@@ -164,8 +155,8 @@ class TestPerSampleControl:
     def test_easy_samples_freeze(self):
         """A settled sample stops contributing to step-size control."""
         rates = np.array([[0.01], [30.0]])
-        _, stats = dopri5_solve(lambda t, y: y * Tensor(-rates),
-                                Tensor(np.ones((2, 1))), [0.0, 1.0])
+        stats = solve(lambda t, y: y * Tensor(-rates),
+                      Tensor(np.ones((2, 1))), [0.0, 1.0]).stats
         assert stats.freeze_counts is not None
         assert stats.freeze_counts.shape == (2,)
         # The near-constant sample froze; the stiff one kept control.
@@ -182,12 +173,11 @@ class TestPerSampleControl:
             return y * Tensor(gains)
 
         times = [0.0, 3.0]
-        sol, stats = dopri5_solve(f, Tensor(np.ones((2, 1))), times,
-                                  rtol=1e-6, atol=1e-8)
+        opts = SolverOptions(rtol=1e-6, atol=1e-8)
+        sol = solve(f, Tensor(np.ones((2, 1))), times, options=opts).ys
         # Reference: the same stiff sample solved alone.
-        ref, _ = dopri5_solve(
-            lambda t, y: y * (-60.0 if t > 1.5 else -1e-4),
-            Tensor(np.ones((1, 1))), times, rtol=1e-6, atol=1e-8)
+        ref = solve(lambda t, y: y * (-60.0 if t > 1.5 else -1e-4),
+                    Tensor(np.ones((1, 1))), times, options=opts).ys
         np.testing.assert_allclose(sol.data[-1, 0, 0], ref.data[-1, 0, 0],
                                    atol=1e-5)
 

@@ -1,5 +1,6 @@
 """SolverOptions consolidation: validation, legacy-kwarg removal, routing."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from repro.autodiff import Tensor
 from repro.nn import Module, Parameter
-from repro.odeint import SolverOptions, odeint, odeint_adjoint, solve
+from repro.odeint import SolverOptions, solve
 
 
 def decay(t, y):
@@ -21,12 +22,14 @@ T = np.linspace(0.0, 1.0, 6)
 class TestSolverOptionsObject:
     def test_defaults(self):
         opts = SolverOptions()
+        assert [f.name for f in dataclasses.fields(opts)] == [
+            "step_size", "rtol", "atol", "max_steps", "adjoint",
+            "resumable"]
         assert opts.step_size is None
         assert opts.rtol == 1e-5 and opts.atol == 1e-7
-        assert opts.corrector_iters == 1
         assert opts.max_steps == 10_000
         assert opts.adjoint is False
-        assert opts.dense is False
+        assert opts.resumable is False
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -34,7 +37,7 @@ class TestSolverOptionsObject:
 
     @pytest.mark.parametrize("kwargs", [
         {"step_size": 0.0}, {"step_size": -1.0}, {"rtol": 0.0},
-        {"atol": -1e-9}, {"corrector_iters": 0}, {"first_step": 0.0},
+        {"atol": -1e-9}, {"rtol": -1e-6}, {"atol": 0.0},
         {"max_steps": 0},
     ])
     def test_rejects_invalid_values(self, kwargs):
@@ -42,14 +45,9 @@ class TestSolverOptionsObject:
             SolverOptions(**kwargs)
 
     def test_step_size_rejected_for_dopri5(self):
-        with pytest.raises(ValueError, match="SolverOptions.first_step"):
-            odeint(decay, Y0, T, method="dopri5",
-                   options=SolverOptions(step_size=0.1))
-
-    def test_first_step_rejected_for_fixed(self):
-        with pytest.raises(ValueError, match="step_size"):
-            odeint(decay, Y0, T, method="rk4",
-                   options=SolverOptions(first_step=0.1))
+        with pytest.raises(ValueError, match="'step_size' only applies"):
+            solve(decay, Y0, T, method="dopri5",
+                  options=SolverOptions(step_size=0.1))
 
     def test_adjoint_accepted_for_dopri5(self):
         # PR 8 lifted the old restriction: the continuous adjoint now
@@ -58,37 +56,8 @@ class TestSolverOptionsObject:
                     options=SolverOptions(adjoint=True))
         assert sol.stats.method == "adjoint[dopri5]"
 
-    def test_resolve_storage_requires_adjoint_dopri5(self):
-        with pytest.raises(ValueError, match="adjoint_storage"):
-            solve(decay, Y0, T, method="rk4",
-                  options=SolverOptions(step_size=0.1,
-                                        adjoint=True,
-                                        adjoint_storage="resolve"))
-
-    def test_resolve_storage_incompatible_with_dense(self):
-        with pytest.raises(ValueError, match="dense"):
-            solve(decay, Y0, T, method="dopri5",
-                  options=SolverOptions(adjoint=True, dense=True,
-                                        adjoint_storage="resolve"))
-
-    def test_dense_rejected_for_fixed(self):
-        with pytest.raises(ValueError, match="dense"):
-            solve(decay, Y0, T, method="rk4",
-                  options=SolverOptions(dense=True))
-
 
 class TestEquivalence:
-    @pytest.mark.parametrize("method,opts", [
-        ("rk4", SolverOptions(step_size=0.05)),
-        ("euler", SolverOptions(step_size=0.02)),
-        ("implicit_adams", SolverOptions(step_size=0.05, corrector_iters=2)),
-        ("dopri5", SolverOptions(rtol=1e-6, atol=1e-8)),
-    ])
-    def test_odeint_matches_solve(self, method, opts):
-        old = odeint(decay, Y0, T, method=method, options=opts)
-        new = solve(decay, Y0, T, method=method, options=opts)
-        assert np.array_equal(old.data, new.ys.data)
-
     def test_stats_identical_across_entry_points(self):
         opts = SolverOptions(rtol=1e-6, atol=1e-8)
         sol = solve(decay, Y0, T, method="dopri5", options=opts)
@@ -98,36 +67,35 @@ class TestEquivalence:
 
 
 class TestLegacyKwargRemoval:
+    """solve() takes every tunable through SolverOptions only."""
+
     def test_legacy_step_size_raises(self):
-        with pytest.raises(TypeError, match="SolverOptions"):
-            odeint(decay, Y0, T, method="rk4", step_size=0.05)
+        with pytest.raises(TypeError, match="step_size"):
+            solve(decay, Y0, T, method="rk4", step_size=0.05)
 
     def test_legacy_tolerances_raise(self):
-        with pytest.raises(TypeError, match="removed"):
-            odeint(decay, Y0, T, method="dopri5", rtol=1e-6, atol=1e-8)
+        with pytest.raises(TypeError, match="rtol"):
+            solve(decay, Y0, T, method="dopri5", rtol=1e-6, atol=1e-8)
 
     def test_options_style_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            odeint(decay, Y0, T, method="rk4",
-                   options=SolverOptions(step_size=0.1))
+            solve(decay, Y0, T, method="rk4",
+                  options=SolverOptions(step_size=0.1))
 
     def test_defaults_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            odeint(decay, Y0, T, method="rk4")
+            solve(decay, Y0, T, method="rk4")
 
     def test_return_stats_raises(self):
-        with pytest.raises(TypeError,
-                           match="return_stats was removed.*Solution.stats"):
-            odeint(decay, Y0, T, method="rk4", return_stats=True)
-        with pytest.raises(TypeError,
-                           match="return_stats was removed.*Solution.stats"):
-            odeint_adjoint(decay, Y0, T, method="rk4", return_stats=True)
+        # Stats travel on Solution.stats; there is no return_stats flag.
+        with pytest.raises(TypeError, match="return_stats"):
+            solve(decay, Y0, T, method="rk4", return_stats=True)
 
     def test_options_must_be_solver_options(self):
         with pytest.raises(TypeError, match="SolverOptions"):
-            odeint(decay, Y0, T, method="rk4", options={"step_size": 0.1})
+            solve(decay, Y0, T, method="rk4", options={"step_size": 0.1})
 
 
 class _Decay(Module):
@@ -143,26 +111,15 @@ class TestAdjointRouting:
     def test_adjoint_accepts_options(self):
         func = _Decay()
         y0 = Tensor(np.array([[1.0]]), requires_grad=True)
-        sol = odeint_adjoint(func, y0, [0.0, 1.0], method="rk4",
-                             options=SolverOptions(step_size=0.05))
-        sol.sum().backward()
+        sol = solve(func, y0, [0.0, 1.0], method="rk4",
+                    options=SolverOptions(step_size=0.05, adjoint=True))
+        sol.ys.sum().backward()
         assert y0.grad is not None
+        assert sol.stats.method == "adjoint[rk4]"
 
     def test_adjoint_legacy_step_size_raises(self):
         func = _Decay()
         y0 = Tensor(np.array([[1.0]]))
-        with pytest.raises(TypeError, match="SolverOptions"):
-            odeint_adjoint(func, y0, [0.0, 1.0], method="rk4",
-                           step_size=0.05)
-
-    def test_solve_adjoint_matches_wrapper(self):
-        opts = SolverOptions(step_size=0.05)
-        func = _Decay()
-        y0 = Tensor(np.array([[1.0]]))
-        via_wrapper = odeint_adjoint(func, y0, [0.0, 1.0], method="rk4",
-                                     options=opts)
-        via_solve = solve(_Decay(), Tensor(np.array([[1.0]])), [0.0, 1.0],
-                          method="rk4",
-                          options=SolverOptions(step_size=0.05, adjoint=True))
-        assert np.array_equal(via_wrapper.data, via_solve.ys.data)
-        assert via_solve.stats.method == "adjoint[rk4]"
+        with pytest.raises(TypeError, match="step_size"):
+            solve(func, y0, [0.0, 1.0], method="rk4", step_size=0.05,
+                  options=SolverOptions(adjoint=True))

@@ -26,7 +26,7 @@ def _method_options(method):
 
 
 @pytest.mark.parametrize("mode", ["eager", "replay"])
-@pytest.mark.parametrize("method", ["dopri5", "implicit_adams"])
+@pytest.mark.parametrize("method", ["dopri5", "implicit_adams", "rk4"])
 @pytest.mark.parametrize("split", [1, 4, 7])
 def test_split_solve_bitwise_equal(method, split, mode):
     rhs = _rhs()

@@ -1,21 +1,22 @@
-"""The unified solve() facade: Solution fields, dense output, dispatch."""
+"""The unified solve() facade: Solution fields, dispatch, executors and
+the union path's per-bucket dense readout."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+import repro.odeint
 from repro.autodiff import Tensor, get_executor, no_grad, set_executor
 from repro.odeint import (
-    DenseOutput,
     METHODS,
     Solution,
     SolverOptions,
     SolverStats,
-    dopri5_dense_solve,
-    dopri5_solve,
-    odeint,
-    odeint_adjoint,
     solve,
 )
+from repro.parallel import padded_shard_solve, union_solve
+from repro.parallel.union import dopri5_dense_solve
 
 
 def _decay(rate=1.3):
@@ -37,7 +38,7 @@ class TestSolutionFields:
         assert isinstance(sol.stats, SolverStats)
         assert sol.ys.shape == (6, 2, 1)
         np.testing.assert_array_equal(sol.times, times)
-        assert sol.dense is None  # not requested
+        assert sol.resume_state is None  # not requested
 
     def test_stats_are_populated(self):
         rhs, _ = _decay()
@@ -53,7 +54,6 @@ class TestSolutionFields:
                     method="rk4", options=SolverOptions(step_size=0.1))
         exact = np.exp(-rate)
         assert abs(float(sol.ys.data[-1, 0, 0]) - exact) < 1e-6
-        assert sol.dense is None
 
     def test_accuracy_matches_exact_solution(self):
         rhs, rate = _decay()
@@ -62,51 +62,6 @@ class TestSolutionFields:
         exact = np.exp(-rate * times)
         err = np.abs(sol.ys.data[:, 0, 0] - exact).max()
         assert err < 1e-4
-
-
-class TestDenseOutput:
-    def _dense_solution(self):
-        rhs, rate = _decay()
-        times = np.linspace(0.0, 1.0, 5)
-        sol = solve(rhs, Tensor(np.ones((2, 1))), times, method="dopri5",
-                    options=SolverOptions(dense=True))
-        return sol, rate
-
-    def test_dense_is_returned_when_requested(self):
-        sol, _ = self._dense_solution()
-        assert isinstance(sol.dense, DenseOutput)
-        lo, hi = sol.dense.span
-        assert (lo, hi) == (0.0, pytest.approx(1.0))
-
-    def test_dense_interpolates_off_grid(self):
-        sol, rate = self._dense_solution()
-        for t in (0.05, 0.37, 0.61, 0.93):
-            y = sol.dense(t)
-            assert abs(float(y.data[0, 0]) - np.exp(-rate * t)) < 1e-5
-
-    def test_dense_at_t0_returns_initial_state(self):
-        sol, _ = self._dense_solution()
-        np.testing.assert_array_equal(sol.dense(0.0).data, np.ones((2, 1)))
-
-    def test_dense_outside_span_raises(self):
-        sol, _ = self._dense_solution()
-        with pytest.raises(ValueError, match="outside the integration span"):
-            sol.dense(1.5)
-        with pytest.raises(ValueError, match="outside the integration span"):
-            sol.dense(-0.1)
-
-    def test_dense_matches_grid_outputs(self):
-        sol, _ = self._dense_solution()
-        for i, t in enumerate(sol.times):
-            np.testing.assert_allclose(sol.dense(float(t)).data,
-                                       sol.ys.data[i], rtol=1e-7, atol=1e-9)
-
-    def test_dense_rejected_for_fixed_methods(self):
-        rhs, _ = _decay()
-        with pytest.raises(ValueError, match="dense"):
-            solve(rhs, Tensor(np.ones((2, 1))), np.linspace(0, 1, 5),
-                  method="rk4",
-                  options=SolverOptions(step_size=0.1, dense=True))
 
 
 class TestDispatch:
@@ -124,6 +79,13 @@ class TestDispatch:
             sol = solve(rhs, Tensor(np.ones((2, 1))), times, method=method,
                         options=opts)
             assert sol.ys.shape[0] == 6, method
+
+    def test_solve_is_the_only_integrator(self):
+        exported = {name for name in repro.odeint.__all__
+                    if inspect.isfunction(getattr(repro.odeint, name))}
+        steppers = {"euler_step", "midpoint_step", "rk4_step"}
+        helpers = {"validate_times", "initial_step_size"}
+        assert exported - steppers - helpers == {"solve", "odeint_event"}
 
     def test_unknown_method_raises(self):
         rhs, _ = _decay()
@@ -151,18 +113,11 @@ class TestDispatch:
         times = np.linspace(0.0, 1.0, 5)
         sol = solve(rhs, Tensor(np.ones((2, 1))), times, method="rk4",
                     options=SolverOptions(step_size=0.1, adjoint=True))
-        ref = odeint_adjoint(rhs, Tensor(np.ones((2, 1))), times,
-                             method="rk4",
-                             options=SolverOptions(step_size=0.1))
-        np.testing.assert_array_equal(sol.ys.data, ref.data)
+        ref = solve(rhs, Tensor(np.ones((2, 1))), times, method="rk4",
+                    options=SolverOptions(step_size=0.1))
+        np.testing.assert_array_equal(sol.ys.data, ref.ys.data)
         assert sol.stats.method == "adjoint[rk4]"
-
-    def test_odeint_wrapper_delegates(self):
-        rhs, _ = _decay()
-        times = np.linspace(0.0, 1.0, 5)
-        ys = odeint(rhs, Tensor(np.ones((2, 1))), times, method="dopri5")
-        sol = solve(rhs, Tensor(np.ones((2, 1))), times, method="dopri5")
-        np.testing.assert_array_equal(ys.data, sol.ys.data)
+        assert ref.stats.method == "rk4"
 
 
 class TestExecutors:
@@ -190,10 +145,10 @@ class TestExecutors:
 
 
 class TestDenseSolveVsGridSolve:
-    def test_shared_grid_matches_dopri5_solve(self):
+    def test_shared_grid_matches_solve(self):
         """When every sample's grid is the union grid, the dense-readout
-        path must reproduce dopri5_solve exactly (same steps, same
-        interpolant evaluations)."""
+        path must reproduce solve() exactly (same steps, same interpolant
+        evaluations)."""
         rng = np.random.default_rng(1)
         n, dim = 4, 3
         rates = rng.uniform(0.3, 2.0, size=(n, dim))
@@ -205,18 +160,22 @@ class TestDenseSolveVsGridSolve:
         times = np.concatenate([[0.0], np.sort(rng.random(7)), [1.0]])
         y0 = Tensor(rng.normal(size=(n, dim)))
         with no_grad():
-            grid_out, grid_stats = dopri5_solve(rhs, y0, times)
+            grid = solve(rhs, y0, times, method="dopri5")
             per_sample, dense_stats = dopri5_dense_solve(
-                rhs, y0, [times] * n)
-        assert dense_stats.nfev == grid_stats.nfev
+                rhs, y0, [times] * n, t0=0.0)
+        assert dense_stats.nfev == grid.stats.nfev
         for i, out in enumerate(per_sample):
-            np.testing.assert_array_equal(out.data, grid_out.data[:, i])
+            np.testing.assert_array_equal(out.data, grid.ys.data[:, i])
 
     def test_mismatched_grid_count_raises(self):
+        """Both union drivers need exactly one grid per batch row: too few
+        would drop the trailing rows, too many would index past them."""
         rhs, _ = _decay()
-        with pytest.raises(ValueError, match="sample grids"):
-            dopri5_dense_solve(rhs, Tensor(np.ones((2, 1))),
-                               [np.array([0.0, 1.0])])
+        grid = np.array([0.0, 1.0])
+        for driver in (union_solve, padded_shard_solve):
+            for grids in ([grid], [grid] * 3):
+                with pytest.raises(ValueError, match="sample grids"):
+                    driver(lambda idx: rhs, Tensor(np.ones((2, 1))), grids)
 
     def test_sample_time_before_t0_raises(self):
         rhs, _ = _decay()

@@ -1,7 +1,6 @@
 """SolverStats instrumentation across solvers, the model, and baselines."""
 
 import numpy as np
-import pytest
 
 from repro.autodiff import Tensor, get_executor, no_grad
 from repro.baselines import LatentODEBaseline
@@ -10,8 +9,6 @@ from repro.odeint import (
     STEP_NFEV,
     SolverOptions,
     SolverStats,
-    odeint,
-    odeint_adjoint,
     solve,
 )
 
@@ -57,17 +54,6 @@ class TestFixedGridStats:
             assert 2 <= len(calls) < stats.nfev
         else:
             assert stats.nfev == len(calls)
-
-    def test_odeint_keeps_bare_tensor_signature(self):
-        sol = odeint(decay, Tensor(np.ones((1, 1))), [0.0, 1.0],
-                     method="rk4", options=SolverOptions(step_size=0.1))
-        assert isinstance(sol, Tensor)
-
-    def test_odeint_return_stats_removed(self):
-        with pytest.raises(TypeError, match="return_stats was removed"):
-            odeint(decay, Tensor(np.ones((1, 1))), [0.0, 1.0],
-                   method="rk4", options=SolverOptions(step_size=0.1),
-                   return_stats=True)
 
 
 class TestDopri5Stats:
@@ -126,25 +112,6 @@ class TestAdjointStats:
         (out ** 2).mean().backward()
         # Backward sweep adds augmented-dynamics evaluations on top.
         assert stats.nfev > forward_nfev
-
-    def test_odeint_adjoint_return_stats_removed(self):
-        from repro.nn import Linear, Module
-
-        rng = np.random.default_rng(0)
-
-        class Field(Module):
-            def __init__(self):
-                super().__init__()
-                self.lin = Linear(3, 3, rng)
-
-            def forward(self, t, y):
-                return self.lin(y).tanh()
-
-        with pytest.raises(TypeError, match="return_stats was removed"):
-            odeint_adjoint(Field(), Tensor(np.ones((1, 3))), [0.0, 1.0],
-                           method="rk4",
-                           options=SolverOptions(step_size=0.25),
-                           return_stats=True)
 
 
 class TestModelStats:

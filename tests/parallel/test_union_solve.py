@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, get_executor, no_grad, set_executor
 from repro.data import plan_union_buckets
-from repro.odeint import SolverStats, dopri5_dense_solve
+from repro.odeint import SolverStats
 from repro.parallel import padded_shard_solve, union_solve
+from repro.parallel import union as union_module
+from repro.parallel.union import dopri5_dense_solve
 from repro.telemetry import MetricsRegistry, set_registry
 
 RTOL, ATOL = 1e-5, 1e-7
@@ -102,6 +104,39 @@ class TestEquivalence:
             uni, _ = union_solve(_decay_factory(rates, amps), y0, grids)
         assert uni[1].data.shape[0] == 0
         assert uni[0].data.shape[0] == 5
+
+    def test_padded_empty_grid_rows_yield_empty_outputs(self):
+        rng = np.random.default_rng(4)
+        grids = [np.linspace(0.0, 1.0, 5), np.empty(0), np.empty(0),
+                 np.linspace(0.1, 0.9, 4)]
+        rates = rng.uniform(0.5, 1.5, size=(4, 2))
+        y0 = Tensor(rng.normal(size=(4, 2)))
+        with no_grad():
+            pad, _ = padded_shard_solve(
+                _decay_factory(rates, np.zeros((4, 2))), y0, grids,
+                shard_size=2)
+        # The two empty rows sort into a shard of their own.
+        assert [p.data.shape[0] for p in pad] == [5, 0, 0, 4]
+
+    @pytest.mark.parametrize("driver,kwargs", [
+        (union_solve, {"max_bucket": 3, "min_overlap": 0.0}),
+        (padded_shard_solve, {"shard_size": 3}),
+    ])
+    def test_per_bucket_step_is_patchable(self, driver, kwargs, monkeypatch):
+        """Both drivers reach the per-bucket step through the module
+        global, so instrumentation that patches it sees every bucket."""
+        rows = []
+        real = union_module.dopri5_dense_solve
+
+        def counting(func, y0, sample_times, **kw):
+            rows.append(len(sample_times))
+            return real(func, y0, sample_times, **kw)
+
+        monkeypatch.setattr(union_module, "dopri5_dense_solve", counting)
+        func_for, y0, grids = _random_problem(6, seed=9)
+        with no_grad():
+            driver(func_for, y0, grids, **kwargs)
+        assert len(rows) >= 2 and sum(rows) == 6
 
     def test_all_empty_raises(self):
         y0 = Tensor(np.ones((2, 2)))

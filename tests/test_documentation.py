@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -14,6 +15,30 @@ _PACKAGES = ["repro", "repro.autodiff", "repro.nn", "repro.odeint",
              "repro.linalg", "repro.core", "repro.baselines", "repro.data",
              "repro.training", "repro.analysis", "repro.experiments",
              "repro.viz"]
+
+#: Documents whose backticked ``repro.…`` paths must name real objects.
+_DOCS = ["README.md", "DESIGN.md"] + sorted(
+    f"docs/{p.name}" for p in
+    (pathlib.Path(__file__).resolve().parents[1] / "docs").glob("*.md"))
+#: A backtick span that starts with a dotted ``repro`` path, e.g.
+#: `repro.odeint.solve` or `repro.odeint.solve(..., SolverOptions(...))`.
+_DOTTED_PATH = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+
+
+def _resolves(path: str) -> bool:
+    """Import the longest module prefix of ``path``, then walk attributes."""
+    parts = path.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
 
 
 def _public_members(module):
@@ -95,3 +120,16 @@ class TestRepoDocuments:
 
     def test_contributing_exists(self):
         assert (self._ROOT / "CONTRIBUTING.md").exists()
+
+    @pytest.mark.parametrize("doc", _DOCS)
+    def test_dotted_paths_resolve(self, doc):
+        paths = _DOTTED_PATH.findall((self._ROOT / doc).read_text())
+        missing = sorted({p for p in paths if not _resolves(p)})
+        assert not missing, f"{doc} names missing objects: {missing}"
+
+    def test_dotted_path_check_catches_deleted_names(self):
+        assert _resolves("repro.odeint.solve")
+        assert _resolves("repro.core.model.DiffODE.integrate")
+        assert _resolves("repro.odeint.resume")
+        assert not _resolves("repro.odeint.no_such_solver")
+        assert not _resolves("repro.odeint.no_such_module.solve")
