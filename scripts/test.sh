@@ -29,7 +29,9 @@
 #   scripts/test.sh adjoint  tier-1 under trace-checkpointed backprop
 #                            (REPRO_CHECKPOINT_GRADS=on), once with the
 #                            eager executor and once under replay
-#                            (REPRO_EXECUTOR=replay)
+#                            (REPRO_EXECUTOR=replay), then the
+#                            BENCH_memory acceptance benchmark (backward
+#                            memory gates) under the default settings
 #   scripts/test.sh perf     the end-to-end benchmark's own checks
 #                            (perfbench/test_perfbench.py): seed
 #                            reproducibility of the workloads and the
@@ -66,8 +68,10 @@ case "$lane" in
     adjoint)
         env REPRO_CHECKPOINT_GRADS=on \
             python -m pytest -x -q "$@"
-        exec env REPRO_CHECKPOINT_GRADS=on REPRO_EXECUTOR=replay \
+        env REPRO_CHECKPOINT_GRADS=on REPRO_EXECUTOR=replay \
             python -m pytest -x -q "$@"
+        exec python -m pytest -x -q benchmarks/test_memory.py \
+            -p no:cacheprovider -m "tier2 or not tier2" "$@"
         ;;
     batching)
         exec python -m pytest -x -q tests/data/test_batching.py \

@@ -1192,8 +1192,8 @@ ADJOINT_GRAD_BAND = 1e-5
 def _memory_mode_run(mode: str, n_obs: int, dim: int, batch: int, seed: int):
     """One rk4 solve + backward over ``n_obs`` readouts under ``mode``.
 
-    Returns ``(peak_backward_bytes, wall_seconds, gy, gparams)``.  Peak
-    bytes count what the backward pass keeps alive: replay tape frames
+    Returns ``(peak_backward_bytes, wall_seconds, steps, gy, gparams)``.
+    Peak bytes count what the backward pass keeps alive: replay tape frames
     for the backprop modes, the retained per-readout output states (plus
     the one transient VJP frame) for the adjoint.
     """
@@ -1231,7 +1231,7 @@ def _memory_mode_run(mode: str, n_obs: int, dim: int, batch: int, seed: int):
     peak = tape_stats()["peak_bytes"]
     if mode == "adjoint":
         peak += sol.ys.data.nbytes
-    return (peak, wall, y0.grad.copy(),
+    return (peak, wall, sol.stats.steps, y0.grad.copy(),
             [p.grad.copy() for p in field.parameters()])
 
 
@@ -1249,10 +1249,10 @@ def run_memory(out_path: str | pathlib.Path = "BENCH_memory.json",
         modes = {}
         grads = {}
         for mode in ("backprop", "checkpointed", "adjoint"):
-            peak, wall, gy, gp = _memory_mode_run(mode, n_obs, dim, batch,
-                                                  seed)
+            peak, wall, steps, gy, gp = _memory_mode_run(
+                mode, n_obs, dim, batch, seed)
             modes[mode] = {"peak_backward_bytes": peak,
-                           "wall_seconds": wall}
+                           "wall_seconds": wall, "steps": steps}
             grads[mode] = (gy, gp)
 
         gy_bp, gp_bp = grads["backprop"]

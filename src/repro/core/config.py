@@ -36,7 +36,8 @@ class DiffODEConfig:
     encoder: str = "gru"
     #: ODE solver (paper: implicit Adams)
     method: str = "implicit_adams"
-    #: ODE integration step on the normalized [0, 1] time axis; for the
+    #: ODE integration step on the normalized [0, 1] time axis; the
+    #: number of readout grid points is round(1/step_size) + 1.  For the
     #: adaptive ``dopri5`` method this only sets the readout-grid density
     #: (the solver controls its own step via ``rtol``/``atol``)
     step_size: float = 0.05
@@ -48,7 +49,9 @@ class DiffODEConfig:
     #: memory) instead of backprop through the solver; gradients are
     #: tolerance-bounded rather than exact w.r.t. the discrete solve
     adjoint: bool = False
-    #: number of readout grid points = round(1/step_size) + 1
+    #: length of the position-indexed DHS parameters ``h``/``h2``: the
+    #: most observations a series may have (``DHSDynamics.bind`` and the
+    #: streaming session raise past it)
     max_len: int = 512
     #: classification classes (None for regression tasks)
     num_classes: int | None = None

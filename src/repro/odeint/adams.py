@@ -7,6 +7,10 @@ We implement the classic fixed-order ABM scheme used by torchdiffeq's
 4th-order Adams-Moulton corrector, with RK4 bootstrapping for the first
 three steps.  The corrector is applied once (PECE), which is differentiable
 because every stage is an ordinary Tensor expression.
+
+Each step evaluates ``f(t, y)`` once for the history; a bootstrap step
+reuses it as its RK4 first stage (4 evaluations), an Adams step adds only
+the corrector's (2), so ``N >= 3`` uniform steps cost ``2N + 6``.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ class AdamsBashforthMoulton:
             self._history.pop(0)
 
         if len(self._history) < 4:
-            # Bootstrap phase: single RK4 step keeps 4th-order accuracy.
-            return rk4_step(self.func, t, dt, y)
+            # Bootstrap phase: single RK4 step keeps 4th-order accuracy;
+            # f(t, y) is already evaluated, so it is the first stage.
+            return rk4_step(self.func, t, dt, y, k1=f_now)
 
         f0, f1, f2, f3 = self._history[-1], self._history[-2], \
             self._history[-3], self._history[-4]

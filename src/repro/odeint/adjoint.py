@@ -34,7 +34,7 @@ from ..autodiff import Tensor, maybe_compile, no_grad
 from ..nn import Module
 from ..telemetry import get_registry
 from .dopri5 import _dense_eval, _dopri5_core
-from .fixed import FIXED_STEPPERS, _fixed_grid_solve
+from .fixed import FIXED_STEPPERS, _fixed_grid_solve, _n_substeps
 from .options import SolverOptions
 from .stats import SolverStats
 
@@ -260,7 +260,7 @@ def _adjoint_fixed(func: Module, y0: Tensor, times: np.ndarray,
     def sweep(idx: int, adj_y: np.ndarray, adj_params: list):
         t1, t0 = float(times[idx]), float(times[idx - 1])
         span = t0 - t1  # negative: integrating backwards
-        n_sub = max(1, int(np.ceil(abs(span) / step_size))) if step_size else 1
+        n_sub = _n_substeps(span, step_size)
         dt = span / n_sub
         y_val = np.array(solution[idx], copy=True)
         tau = t1

@@ -5,7 +5,9 @@ gradients flow through the solver (discrete backprop-through-the-solver, the
 default training mode of this reproduction, equivalent to torchdiffeq
 without the adjoint).  :func:`_fixed_grid_solve` is the one sub-step loop
 over an output grid, shared by :func:`repro.odeint.solve` and the
-continuous adjoint's tape-free forward pass.
+continuous adjoint's tape-free forward pass, and :func:`_n_substeps` is
+the one rule both it and the adjoint's backward sweep use to split an
+output interval into sub-steps.
 """
 
 from __future__ import annotations
@@ -37,9 +39,15 @@ def midpoint_step(func: OdeFunc, t: float, dt: float, y: Tensor) -> Tensor:
     return y + func(t + dt / 2.0, y + half) * dt
 
 
-def rk4_step(func: OdeFunc, t: float, dt: float, y: Tensor) -> Tensor:
-    """Classic fourth-order Runge-Kutta."""
-    k1 = func(t, y)
+def rk4_step(func: OdeFunc, t: float, dt: float, y: Tensor,
+             k1: Tensor | None = None) -> Tensor:
+    """Classic fourth-order Runge-Kutta.
+
+    ``k1`` is ``f(t, y)`` when the caller has already evaluated it (the
+    implicit-Adams bootstrap does); the step then costs three evaluations.
+    """
+    if k1 is None:
+        k1 = func(t, y)
     k2 = func(t + dt / 2.0, y + k1 * (dt / 2.0))
     k3 = func(t + dt / 2.0, y + k2 * (dt / 2.0))
     k4 = func(t + dt, y + k3 * dt)
@@ -56,6 +64,27 @@ FIXED_STEPPERS: dict[str, Callable[[OdeFunc, float, float, Tensor], Tensor]] = {
 #: (no wrapper indirection on the fixed-grid hot path).
 STEP_NFEV = {"euler": 1, "midpoint": 2, "rk4": 4}
 
+#: Relative tolerance of the sub-step rule in :func:`_n_substeps`.
+SUBSTEP_RTOL = 1e-9
+
+
+def _n_substeps(span: float, step_size: float | None) -> int:
+    """Number of equal sub-steps for one output interval of length ``span``.
+
+    ``ceil(|span| / step_size)``, except that a span within
+    ``SUBSTEP_RTOL`` relative of a whole multiple ``k * step_size`` takes
+    exactly ``k``: the spacing of a float grid such as
+    ``linspace(0, 1, 21)`` is a few ulps off ``0.05``, and that noise must
+    not add a half-step.  One sub-step when ``step_size`` is None.
+    """
+    if not step_size:
+        return 1
+    ratio = abs(span) / step_size
+    k = round(ratio)
+    if k >= 1 and abs(ratio - k) <= SUBSTEP_RTOL * k:
+        return k
+    return max(1, math.ceil(ratio))
+
 
 def _fixed_grid_solve(func: OdeFunc, y0: Tensor | None, times: np.ndarray,
                       method: str, step_size: float | None,
@@ -64,10 +93,10 @@ def _fixed_grid_solve(func: OdeFunc, y0: Tensor | None, times: np.ndarray,
                       ) -> tuple[Tensor, SolverStats, ResumeState | None]:
     """Fixed-step and multistep integration over an explicit grid.
 
-    Each output interval is split into ``ceil(|span| / step_size)`` equal
-    sub-steps (one when ``step_size`` is None).  ``implicit_adams`` carries
-    an f-history across sub-steps and drops it whenever the sub-step
-    spacing changes, because the multistep formula assumes a uniform grid.
+    Each output interval is split into :func:`_n_substeps` equal sub-steps
+    (one when ``step_size`` is None).  ``implicit_adams`` carries an
+    f-history across sub-steps and drops it whenever the sub-step spacing
+    changes, because the multistep formula assumes a uniform grid.
 
     With ``resume`` set, integration continues from the carried state:
     ``times[0]`` must coincide with the resume frontier (fixed-grid
@@ -111,7 +140,7 @@ def _fixed_grid_solve(func: OdeFunc, y0: Tensor | None, times: np.ndarray,
 
     for t0, t1 in zip(times[:-1], times[1:]):
         span = float(t1 - t0)
-        n_sub = max(1, math.ceil(abs(span) / step_size)) if step_size else 1
+        n_sub = _n_substeps(span, step_size)
         dt = span / n_sub
         if adams is not None and last_dt is not None \
                 and abs(dt - last_dt) > 1e-12:

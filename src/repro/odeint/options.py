@@ -13,6 +13,7 @@ lives on one dataclass passed to :func:`repro.odeint.solve`::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,8 +51,10 @@ class SolverOptions:
     Attributes
     ----------
     step_size:
-        Maximum internal step for fixed-grid methods; defaults to one step
-        per output interval.
+        Maximum internal step for fixed-grid methods, up to a 1e-9
+        relative tolerance: an output interval within that of ``k``
+        steps takes exactly ``k`` sub-steps, any longer one rounds up.
+        Defaults to one step per output interval.
     rtol, atol:
         Error tolerances for the adaptive ``dopri5`` method.
     max_steps:
@@ -83,6 +86,10 @@ class SolverOptions:
     resumable: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("step_size", "rtol", "atol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.step_size is not None and self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.rtol <= 0 or self.atol <= 0:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, get_executor, no_grad, set_executor
 from repro.odeint import SolverOptions, AdamsBashforthMoulton, solve
 
 
@@ -17,6 +17,27 @@ class TestABM:
         assert len(solver._history) == 3
         solver.step(0.3, 0.1, y)
         assert len(solver._history) == 4
+
+    def test_replay_validation_sees_distinct_calls(self):
+        """A right-hand side that bakes ``t`` in as a constant (instead of
+        using ``time_tensor``) must fail replay validation and run
+        eagerly.  Validation compares the second call against the trace
+        of the first, so those two calls must not both be f(t0, y0)."""
+        def f(t, y):
+            return -y * (1.0 + np.sin(t))
+
+        def run(mode):
+            prev = get_executor()
+            try:
+                set_executor(mode)
+                with no_grad():
+                    return solve(f, Tensor(np.ones((2, 3))),
+                                 np.linspace(0.0, 1.0, 11),
+                                 method="implicit_adams").ys.data
+            finally:
+                set_executor(prev)
+
+        np.testing.assert_array_equal(run("replay"), run("eager"))
 
     def test_reset_clears_history(self):
         solver = AdamsBashforthMoulton(lambda t, y: -y)

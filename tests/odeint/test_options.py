@@ -39,10 +39,19 @@ class TestSolverOptionsObject:
         {"step_size": 0.0}, {"step_size": -1.0}, {"rtol": 0.0},
         {"atol": -1e-9}, {"rtol": -1e-6}, {"atol": 0.0},
         {"max_steps": 0},
+        {"step_size": float("nan")}, {"step_size": float("inf")},
+        {"step_size": float("-inf")}, {"rtol": float("nan")},
+        {"rtol": float("inf")}, {"atol": float("nan")},
+        {"atol": float("inf")},
     ])
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
+
+    @pytest.mark.parametrize("field", ["step_size", "rtol", "atol"])
+    def test_non_finite_error_names_the_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverOptions(**{field: float("nan")})
 
     def test_step_size_rejected_for_dopri5(self):
         with pytest.raises(ValueError, match="'step_size' only applies"):

@@ -131,6 +131,23 @@ class TestModelStats:
         assert stats.method == "implicit_adams"
         assert stats.nfev > 0
 
+    def test_diffode_default_config_steps_on_its_grid(self):
+        """The paper setting (implicit Adams, step 0.05) takes one step
+        per readout interval and bootstraps once: 2 * 20 + 6 evals."""
+        model = DiffODE(DiffODEConfig(
+            input_dim=2, latent_dim=4, hidden_dim=8, hippo_dim=4,
+            info_dim=4, num_classes=2))
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(3, 5, 2))
+        times = np.sort(rng.random((3, 5)), axis=1)
+        with no_grad():
+            model.integrate(values, times, np.ones((3, 5)))
+        stats = model.last_solver_stats
+        assert stats.method == "implicit_adams"
+        assert len(model.grid()) == 21
+        assert stats.steps == 20
+        assert stats.nfev == 46
+
     def test_diffode_dopri5_uses_adaptive_path(self):
         model = DiffODE(DiffODEConfig(
             input_dim=2, latent_dim=4, hidden_dim=8, hippo_dim=4,
