@@ -608,8 +608,11 @@ class CompiledGraph:
 
         Walks the trace in reverse with the same per-opcode rules the
         eager executor dispatches, in the same (creation-descending)
-        order, so per-call gradients are bit-identical to eager.  Returns
-        one gradient per fat-node parent: ``(y, *diff_externals)``.
+        order.  Returns, per fat-node parent ``(y, *diff_externals)``, the
+        list of this call's contributions in that order (``None`` when
+        there are none): :meth:`Tensor.backward` adds them to its running
+        totals one at a time, so a tensor several ops of several calls
+        read sums exactly as under eager.
 
         ``ins`` is the fat node's parent data (``ins[0]`` = the step input
         ``y``); a checkpointed frame uses it to re-run the forward schedule
@@ -640,8 +643,8 @@ class CompiledGraph:
             _tape_release(self._full_frame_bytes)
         resolve = self._resolve
         grads: dict[int, np.ndarray] = {self.out_buf: g}
-        ext_grads: dict[int, np.ndarray] = {}
-        y_grad = None
+        ext_grads: dict[int, list] = {}
+        y_grads: list = []
         for i in range(len(self.ops) - 1, -1, -1):
             if not self.diff[i]:
                 continue
@@ -660,12 +663,11 @@ class CompiledGraph:
                         grads[j] = grads[j] + pgrad if j in grads else pgrad
                 elif kind == "ext":
                     if self.ext_diff[j]:
-                        ext_grads[j] = (ext_grads[j] + pgrad
-                                        if j in ext_grads else pgrad)
-                else:
-                    if self.inputs[j][0] == "y":
-                        y_grad = y_grad + pgrad if y_grad is not None else pgrad
-        return (y_grad,) + tuple(ext_grads.get(j) for j in self.diff_ext_idx)
+                        ext_grads.setdefault(j, []).append(pgrad)
+                elif self.inputs[j][0] == "y":
+                    y_grads.append(pgrad)
+        return ((y_grads or None),) + tuple(ext_grads.get(j)
+                                            for j in self.diff_ext_idx)
 
     # -- introspection ---------------------------------------------------
     def dump(self) -> list[str]:

@@ -273,7 +273,13 @@ class Tensor:
                 if pgrad is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                if key in grads:
+                if type(pgrad) is list:
+                    # A replay fat node's per-op contributions, in the
+                    # order eager would have added them.
+                    for part in pgrad:
+                        grads[key] = (grads[key] + part if key in grads
+                                      else part)
+                elif key in grads:
                     grads[key] = grads[key] + pgrad
                 else:
                     grads[key] = pgrad

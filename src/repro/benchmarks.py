@@ -1348,8 +1348,7 @@ def _serving_offline_reference(model, times, values,
     q = np.asarray(query_times, dtype=np.float64)
     with no_grad():
         z = model.encode(v, t, mask)
-        contexts = (model.build_contexts(z, mask)
-                    if model.config.use_attention else [])
+        contexts = model.build_contexts(z, mask)
         model.latent_dynamics.bind(contexts)
         y0 = model.initial_state(z, contexts)
         uniq, inv = np.unique(q, return_inverse=True)
@@ -1370,8 +1369,7 @@ def _serving_payloads(model, n: int, seed: int, n_queries: int = 4,
 
     rng = np.random.default_rng(seed)
     info = {"input_dim": model.config.input_dim,
-            "min_context": (model.config.latent_dim
-                            // model.config.num_heads + 1),
+            "min_context": model.min_context,
             "max_len": model.config.max_len}
     payloads = []
     for i in range(n):

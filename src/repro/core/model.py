@@ -155,25 +155,56 @@ class DiffODE(Module):
     def encode(self, values: np.ndarray, times: np.ndarray,
                mask: np.ndarray) -> Tensor:
         """Run ``psi`` over the observations; returns ``Z`` (B, n, d)."""
+        return self.encode_carry(values, times)[0]
+
+    def encode_carry(self, values: np.ndarray, times: np.ndarray, *,
+                     h0: Tensor | None = None,
+                     last_time: float | None = None
+                     ) -> tuple[Tensor, Tensor | None]:
+        """Run ``psi`` over (B, T) observations, continuing a carry.
+
+        Returns ``Z`` (B, T, d) and the GRU hidden states (B, T, hidden),
+        or ``None`` for the pointwise MLP encoder.  ``h0`` is the hidden
+        state after the previous observation and ``last_time`` its time,
+        so a series encoded in pieces sees the same ``dt`` features and
+        recurrence as one encoded whole (a series' first ``dt`` is 0).
+        """
         values = np.asarray(values, dtype=np.float64)
         times = np.asarray(times, dtype=np.float64)
-        dt = np.diff(times, axis=1, prepend=times[:, :1])
+        if self.config.encoder != "gru":
+            # MLP encoder sees (x_t, t) only.
+            feats = np.concatenate([values, times[..., None]], axis=-1)
+            return self.encoder(Tensor(feats)), None
+        prev = (times[:, :1] if last_time is None
+                else np.full_like(times[:, :1], last_time))
+        dt = np.diff(times, axis=1, prepend=prev)
         feats = np.concatenate([values, dt[..., None], times[..., None]],
                                axis=-1)
-        if self.config.encoder == "gru":
-            return self.enc_proj(self.encoder(Tensor(feats)))
-        # MLP encoder sees (x_t, t) only.
-        feats = np.concatenate([values, times[..., None]], axis=-1)
-        return self.encoder(Tensor(feats))
+        states = self.encoder(Tensor(feats), h0=h0)
+        return self.enc_proj(states), states
 
-    def build_contexts(self, z: Tensor,
-                       mask: np.ndarray) -> list[ContextState]:
-        """One attention context per head over the head's latent slice."""
+    def build_contexts(self, z: Tensor, mask: np.ndarray | None = None, *,
+                       drift_threshold: float | None = None
+                       ) -> list[ContextState]:
+        """One attention context per head over the head's latent slice;
+        none without attention.  ``drift_threshold`` governs the contexts'
+        later rank-1 :meth:`~ContextState.extend` calls."""
+        if not self.config.use_attention:
+            return []
         heads = self.config.num_heads
         hd = self.config.latent_dim // heads
         return [ContextState.build(z[:, :, i * hd:(i + 1) * hd], mask,
-                                   ridge=self.config.ridge)
+                                   ridge=self.config.ridge,
+                                   drift_threshold=drift_threshold)
                 for i in range(heads)]
+
+    @property
+    def min_context(self) -> int:
+        """Observations a series needs before its first context: more
+        than the latent dims per head (one without attention)."""
+        if not self.config.use_attention:
+            return 1
+        return self.config.latent_dim // self.config.num_heads + 1
 
     def initial_state(self, z: Tensor,
                       contexts: list[ContextState]) -> Tensor:
@@ -202,6 +233,17 @@ class DiffODE(Module):
         steps = max(2, int(round(1.0 / self.config.step_size)) + 1)
         return np.linspace(0.0, 1.0, steps)
 
+    def solver_options(self, **extra) -> SolverOptions:
+        """The configured solver's :class:`SolverOptions` plus ``extra``.
+
+        An adaptive solve controls its own step through ``rtol``/``atol``;
+        ``step_size`` then only shapes the readout :meth:`grid`.
+        """
+        cfg = self.config
+        if cfg.method in ADAPTIVE_METHODS:
+            return SolverOptions(rtol=cfg.rtol, atol=cfg.atol, **extra)
+        return SolverOptions(step_size=cfg.step_size, **extra)
+
     def integrate(self, values: np.ndarray, times: np.ndarray,
                   mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
         """Encode, bind contexts and solve the ODE on the readout grid."""
@@ -215,21 +257,11 @@ class DiffODE(Module):
             # encoder tape and accumulate unweighted gradient into it.  The
             # encoder still trains through the initial state below.
             ctx_z = Tensor(z.data)
-        contexts = (self.build_contexts(ctx_z, mask)
-                    if self.config.use_attention else [])
+        contexts = self.build_contexts(ctx_z, mask)
         self.latent_dynamics.bind(contexts)
         state0 = self.initial_state(z, contexts)
         grid = self.grid()
-        if self.config.method in ADAPTIVE_METHODS:
-            # Adaptive solve: one continuous integration, grid states come
-            # from the dense-output interpolant; step_size only shaped the
-            # readout grid above.
-            opts = SolverOptions(rtol=self.config.rtol,
-                                 atol=self.config.atol,
-                                 adjoint=self.config.adjoint)
-        else:
-            opts = SolverOptions(step_size=self.config.step_size,
-                                 adjoint=self.config.adjoint)
+        opts = self.solver_options(adjoint=self.config.adjoint)
         sol = solve(self.dynamics, state0, grid,
                     method=self.config.method, options=opts)
         self.last_solver_stats = sol.stats
@@ -287,8 +319,7 @@ class DiffODE(Module):
         from ..parallel import union_solve
 
         z = self.encode(values, times, mask)
-        contexts = (self.build_contexts(z, mask)
-                    if self.config.use_attention else [])
+        contexts = self.build_contexts(z, mask)
         state0 = self.initial_state(z, contexts)
 
         def func_for(idx: np.ndarray):

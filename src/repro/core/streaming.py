@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff import Tensor, concat, graph_epoch, no_grad
-from ..odeint import SolverOptions, solve
+from ..odeint import solve
 from ..telemetry import get_registry
 from .dhs import ContextState
 
@@ -89,10 +89,6 @@ class StreamSession:
         self.cfg = cfg
         self.task = ("classification" if cfg.num_classes is not None
                      else "regression")
-        heads = cfg.num_heads if cfg.use_attention else 0
-        self._head_dim = cfg.latent_dim // heads if heads else 0
-        #: observations needed before the first context (n > d per head)
-        self.min_context = (self._head_dim + 1 if cfg.use_attention else 1)
         self._grid = model.grid()
         # --- encoder carry ---
         self._enc_h: Tensor | None = None
@@ -117,18 +113,11 @@ class StreamSession:
     # ------------------------------------------------------------------
     def _encode_row(self, t: float, inputs) -> np.ndarray:
         """One encoder step; returns the new latent row (1, latent_dim)."""
-        model = self.model
-        x = np.asarray(inputs, dtype=np.float64).reshape(1, -1)
-        if self.cfg.encoder == "gru":
-            dt = 0.0 if self._last_time is None else t - self._last_time
-            feats = np.concatenate([x, [[dt]], [[t]]], axis=-1)
-            if self._enc_h is None:
-                self._enc_h = model.encoder.cell.initial_state(1)
-            self._enc_h = model.encoder.cell(Tensor(feats), self._enc_h)
-            z = model.enc_proj(self._enc_h)
-        else:  # pointwise MLP encoder sees (x_t, t)
-            feats = np.concatenate([x, [[t]]], axis=-1)
-            z = model.encoder(Tensor(feats))
+        x = np.asarray(inputs, dtype=np.float64).reshape(1, 1, -1)
+        z, states = self.model.encode_carry(
+            x, np.array([[t]]), h0=self._enc_h, last_time=self._last_time)
+        if states is not None:
+            self._enc_h = Tensor(states.data[:, -1])
         self._last_time = t
         return np.asarray(z.data, dtype=np.float64).reshape(1, -1)
 
@@ -138,60 +127,43 @@ class StreamSession:
     def _z_tensor(self) -> Tensor:
         return Tensor(np.stack(self._z_rows, axis=1))   # (1, n, d)
 
-    def _build_contexts(self) -> list[ContextState]:
-        z = self._z_tensor()
-        heads = self.cfg.num_heads
-        hd = self._head_dim
-        kwargs = {}
-        if self.drift_threshold is not None:
-            kwargs["drift_threshold"] = self.drift_threshold
-        return [ContextState.build(z[:, :, i * hd:(i + 1) * hd],
-                                   ridge=self.cfg.ridge, **kwargs)
-                for i in range(heads)]
+    def _exact_contexts(self) -> list[ContextState]:
+        return self.model.build_contexts(self._z_tensor(),
+                                         drift_threshold=self.drift_threshold)
 
-    def _init_state(self) -> None:
-        """First bind: exact contexts over the warmup prefix, S0 at t=0."""
-        model = self.model
-        contexts: list[ContextState] = []
-        if self.cfg.use_attention:
-            if len(self._z_rows) > self.cfg.max_len:
-                raise RuntimeError(
-                    f"stream exceeded max_len={self.cfg.max_len} "
-                    "observations; configure DiffODEConfig.max_len for "
-                    "the horizon")
-            contexts = self._build_contexts()
-        model.latent_dynamics.bind(contexts)
+    def _bind(self) -> None:
+        self.model.latent_dynamics.bind(self._contexts)
         self._bound_epoch = graph_epoch()
-        self._contexts = contexts
-        z = self._z_tensor()
-        self._y = model.initial_state(z, contexts)
-        self._t = 0.0
+
+    def _set_frontier(self, y: Tensor, t: float) -> None:
+        """Put the solver frontier at ``(t, y)`` with no resume state; the
+        latent pool restarts from ``y`` and takes grid points after ``t``."""
+        self._y = y
+        self._t = float(t)
         self._resume = None
-        self._grid_idx = 1                      # grid[0] == 0.0 pooled now
+        self._grid_idx = int(np.searchsorted(self._grid, self._t + _EPS_T))
         d = self.cfg.latent_dim
-        self._s_sum = np.array(self._y.data[:, :d], copy=True)
+        self._s_sum = np.array(y.data[:, :d], copy=True)
         self._s_count = 1
 
+    def _reset_frontier(self) -> None:
+        """Restart the solve from ``t=0`` over the current contexts."""
+        self._set_frontier(
+            self.model.initial_state(self._z_tensor(), self._contexts), 0.0)
+
     def _extend_contexts(self, z_row: np.ndarray) -> None:
-        model = self.model
         if not self.cfg.use_attention:
             return
-        if self.n_obs > self.cfg.max_len:
-            raise RuntimeError(
-                f"stream exceeded max_len={self.cfg.max_len} "
-                "observations; configure DiffODEConfig.max_len for "
-                "the horizon")
-        hd = self._head_dim
         if self.incremental:
+            hd = self.cfg.latent_dim // self.cfg.num_heads
             self._contexts = [
                 ctx.extend(z_row[:, i * hd:(i + 1) * hd])
                 for i, ctx in enumerate(self._contexts)]
         else:
-            self._contexts = self._build_contexts()
+            self._contexts = self._exact_contexts()
         # Re-bind: bumps the graph epoch, so compiled RHS traces from the
         # previous bind generation can never replay against new contexts.
-        model.latent_dynamics.bind(self._contexts)
-        self._bound_epoch = graph_epoch()
+        self._bind()
         if self._resume is not None:
             # The dynamics changed: continue from the just-predicted
             # frontier, dropping RHS caches (FSAL stage, Adams history).
@@ -207,22 +179,12 @@ class StreamSession:
         cached FSAL stage was evaluated against identical statics."""
         if self._contexts is None:
             return
-        if self._bound_epoch == graph_epoch():
-            return
-        self.model.latent_dynamics.bind(self._contexts)
-        self._bound_epoch = graph_epoch()
+        if self._bound_epoch != graph_epoch():
+            self._bind()
 
     # ------------------------------------------------------------------
     # solver advance
     # ------------------------------------------------------------------
-    def _solver_options(self) -> SolverOptions:
-        cfg = self.cfg
-        if cfg.method == "dopri5":
-            return SolverOptions(rtol=cfg.rtol, atol=cfg.atol,
-                                 resumable=self.incremental)
-        return SolverOptions(step_size=cfg.step_size,
-                             resumable=self.incremental)
-
     def _advance(self, tau: float) -> int:
         """Integrate the frontier forward to ``tau``; returns nfev."""
         if tau <= self._t + _EPS_T:
@@ -270,7 +232,9 @@ class StreamSession:
                 flags.append(False)
             answers.setdefault(len(ts) - 1, []).append(k)
         sol = solve(self.model.dynamics, self._y, np.asarray(ts),
-                    method=self.cfg.method, options=self._solver_options(),
+                    method=self.cfg.method,
+                    options=self.model.solver_options(
+                        resumable=self.incremental),
                     resume_from=self._resume if self.incremental else None)
         d = self.cfg.latent_dim
         for j, on_grid in enumerate(flags):
@@ -319,14 +283,22 @@ class StreamSession:
         that never saw this observation, so resuming from it would answer
         later queries with a permanently stale trajectory.
         """
+        cfg = self.cfg
+        if cfg.use_attention and self.n_obs >= cfg.max_len:
+            raise RuntimeError(
+                f"stream exceeded max_len={cfg.max_len} observations; "
+                "configure DiffODEConfig.max_len for the horizon")
         with no_grad():
             z_row = self._encode_row(float(time), inputs)
             self._z_rows.append(z_row)
             self._times.append(float(time))
             self.n_obs += 1
             if self._contexts is None:
-                if self.n_obs >= self.min_context:
-                    self._init_state()
+                if self.n_obs >= self.model.min_context:
+                    # First bind: exact contexts over the warmup prefix.
+                    self._contexts = self._exact_contexts()
+                    self._bind()
+                    self._reset_frontier()
             else:
                 self._extend_contexts(z_row)
                 # Reset also when the frontier still sits at the origin:
@@ -335,16 +307,6 @@ class StreamSession:
                 if self._y is not None and (float(time) < self._t - _EPS_T
                                             or self._t <= _EPS_T):
                     self._reset_frontier()
-
-    def _reset_frontier(self) -> None:
-        """Restart the solve from ``t=0`` over the current contexts."""
-        self._y = self.model.initial_state(self._z_tensor(), self._contexts)
-        self._t = 0.0
-        self._resume = None
-        self._grid_idx = 1
-        d = self.cfg.latent_dim
-        self._s_sum = np.array(self._y.data[:, :d], copy=True)
-        self._s_count = 1
 
     def step(self, obs) -> StreamPrediction:
         """Predict at ``obs.time``, then ingest ``obs``; prequential."""
@@ -364,41 +326,34 @@ class StreamSession:
     # serving entry points
     # ------------------------------------------------------------------
     @classmethod
-    def from_state(cls, model, *, enc_h, last_time, z_rows, times, contexts,
-                   y, t, resume=None, incremental: bool = True,
-                   drift_threshold: float | None = None) -> "StreamSession":
-        """Seed a warm session from externally computed state.
+    def from_state(cls, model, *, times, z_rows, enc_h, y,
+                   t) -> "StreamSession":
+        """Seed a warm regression session from externally computed state.
 
         The serving engine builds sessions this way after a *batched* cold
-        solve: encoder carry and latent rows come from the batched encode,
-        per-head contexts are sliced out of the batch contexts via
-        ``ContextState.take([i])``, and the frontier ``(t, y)`` is read
-        off the union solve.  ``resume=None`` is fine — the first warm
-        ``predict_times`` just starts a fresh resumable solve from the
-        frontier, which the grid-independent stepper makes consistent with
-        the unsplit solve.
+        solve: the latent rows and the GRU carry ``enc_h`` (the hidden
+        state after the last observation, ``None`` for the MLP encoder)
+        come from the batched encode, and the frontier ``(t, y)`` is read
+        off the union solve.  The session builds its own exact contexts
+        over ``z_rows``, so later rank-1 extends pick up valid Gram
+        bookkeeping.  The first warm ``predict_times`` starts a fresh
+        resumable solve from the frontier, which the grid-independent
+        stepper makes consistent with the unsplit solve.
         """
-        sess = cls(model, incremental=incremental,
-                   drift_threshold=drift_threshold)
+        sess = cls(model)
         if sess.task != "regression":
             raise NotImplementedError(
                 "from_state seeds regression sessions only (the pooled "
                 "classification state cannot be reconstructed from a "
                 "frontier)")
         sess._enc_h = enc_h
-        sess._last_time = None if last_time is None else float(last_time)
+        sess._times = [float(v) for v in times]
+        sess._last_time = sess._times[-1]
         sess._z_rows = [np.asarray(r, dtype=np.float64).reshape(1, -1)
                         for r in z_rows]
-        sess._times = [float(v) for v in times]
         sess.n_obs = len(sess._times)
-        sess._contexts = contexts
-        sess._y = y
-        sess._t = float(t)
-        sess._resume = resume
-        sess._grid_idx = int(np.searchsorted(sess._grid, sess._t + _EPS_T))
-        d = sess.cfg.latent_dim
-        sess._s_sum = np.array(y.data[:, :d], copy=True)
-        sess._s_count = 1
+        sess._contexts = sess._exact_contexts()
+        sess._set_frontier(y, t)
         return sess
 
     def predict_times(self, query_times) -> tuple[np.ndarray, int]:
@@ -416,10 +371,12 @@ class StreamSession:
         if self._y is None:
             raise RuntimeError(
                 f"session is still warming up ({self.n_obs} observations, "
-                f"needs {self.min_context})")
+                f"needs {self.model.min_context})")
         q = np.asarray(query_times, dtype=np.float64).reshape(-1)
         if q.size == 0:
             return np.zeros((0, int(self.cfg.out_dim or 1))), 0
+        if not np.all(np.isfinite(q)):
+            raise ValueError("query times must be finite")
         if np.any(q < -_EPS_T):
             raise ValueError("query times must be >= 0")
         nfev = 0
@@ -454,12 +411,8 @@ class StreamSession:
         if len(ts) == 1:        # every query sits at t=0: no integration
             out = model.head(y0)
             return [np.asarray(out.data).reshape(-1)] * len(uniq), 0
-        cfg = self.cfg
-        if cfg.method == "dopri5":
-            opts = SolverOptions(rtol=cfg.rtol, atol=cfg.atol)
-        else:
-            opts = SolverOptions(step_size=cfg.step_size)
-        sol = solve(model.dynamics, y0, ts, method=cfg.method, options=opts)
+        sol = solve(model.dynamics, y0, ts, method=self.cfg.method,
+                    options=model.solver_options())
         vals = [np.asarray(model.head(sol.ys[j]).data).reshape(-1)
                 for j in range(offset, len(ts))]
         return vals, sol.stats.nfev

@@ -38,11 +38,6 @@ class ParallelConfig:
     max_retries:
         How many times a failed shard is retried (on a fresh worker)
         before the training step fails loudly.
-    executor:
-        Autodiff executor the workers run under: ``"eager"``,
-        ``"replay"`` (per-shard-shape compiled RHS graphs, reused across
-        steps) or ``None`` to inherit whatever the parent process selected
-        (fork copies the process-wide mode).
     union_batching:
         Group shard rows by time-grid overlap
         (:func:`repro.data.plan_union_buckets` capped at ``shard_size``)
@@ -57,14 +52,11 @@ class ParallelConfig:
     sort_by_length: bool = True
     timeout_s: float = 60.0
     max_retries: int = 1
-    executor: str | None = None
     union_batching: bool = False
 
     def __post_init__(self):
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.executor not in (None, "eager", "replay"):
-            raise ValueError("executor must be None, 'eager' or 'replay'")
         if self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
         if self.timeout_s <= 0:

@@ -160,7 +160,7 @@ class WorkerPool(_ShardedExecutor):
             target=worker_main,
             args=(wid, child_conn, self.model, self.task, self._param_arena,
                   self._param_specs, self._input_arena, self._grad_arena,
-                  self.param_size, self.config.executor),
+                  self.param_size),
             daemon=True, name=f"repro-grad-worker-{wid}")
         process.start()
         child_conn.close()

@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 import traceback
 
-from ..autodiff import set_executor
 from ..data import Batch
 from ..telemetry import get_registry
 from ..training.objective import batch_grad
@@ -47,18 +46,11 @@ def _load_params(params, param_arena: Arena, param_specs) -> None:
 
 def worker_main(worker_id: int, conn, model, task: str, param_arena: Arena,
                 param_specs: list[ArraySpec], input_arena: Arena,
-                grad_arena: Arena, grad_slot: int,
-                executor: str | None = None) -> None:
+                grad_arena: Arena, grad_slot: int) -> None:
     """Entry point of a worker process (started via the ``fork`` context)."""
     # The forked registry may be mid-session in the parent; worker-side
     # telemetry would be invisible anyway, so drop the overhead.
     get_registry().disable()
-    if executor is not None:
-        # Under "replay" each worker keeps one compiled RHS graph per
-        # shard shape; shard shapes repeat across steps, so traces built
-        # on the first batch are replayed for the rest of the epoch
-        # (unless the model's bind() bumps the graph epoch per batch).
-        set_executor(executor)
     params = list(model.parameters())
     grad_flat = grad_arena.view(ArraySpec(0, (grad_arena.capacity // 8,),
                                           "<f8"))

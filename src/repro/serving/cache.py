@@ -17,7 +17,9 @@ first ``n_obs`` observations hash to the same digest.  Then
 
 * same length  → repeat query: resume the solver from the frontier;
 * longer       → growing series: rank-1 ``ContextState.extend`` per new
-  row plus a resumed solve (the streaming fast path);
+  row, then a resumed solve if every new row lies ahead of the frontier
+  (the streaming fast path), else a solve from ``t=0`` over the
+  extended contexts;
 * shorter or digest mismatch → the client's view of the series diverged
   from the cached prefix: the entry is evicted and the request is served
   cold (full rebuild).

@@ -7,14 +7,17 @@ payloads into responses:
   reuse the cached :class:`~repro.core.streaming.StreamSession`: new
   suffix observations are ingested one by one (rank-1 context ``extend``
   + resume rebase each), then :meth:`StreamSession.predict_times` answers
-  from the carried solver frontier — no re-encode, no context rebuild,
-  no solve from ``t=0``;
-* **cold** requests are collated into one padded batch, encoded together,
-  and solved together through :func:`repro.parallel.union_solve` — the
-  planner groups co-arriving series with overlapping query spans so they
-  share one dense dopri5 integration.  Each cold series then seeds a warm
-  session (:meth:`StreamSession.from_state`) for the cache, so the next
-  query on the same series takes the warm path.
+  — no re-encode and no context rebuild.  Queries ahead of the carried
+  solver frontier resume it.  A new observation *behind* the frontier
+  restarts the solve from ``t=0`` over the extended contexts, and a query
+  behind it takes a read-only solve from ``t=0``;
+* **cold** requests are collated into one padded batch, encoded together
+  (:meth:`~repro.core.DiffODE.encode_carry`) and solved together through
+  :func:`repro.parallel.union_solve` — the planner groups co-arriving
+  series with overlapping query spans so they share one dense dopri5
+  integration.  Each cold series then seeds a warm session
+  (:meth:`StreamSession.from_state`) for the cache, so the next query on
+  the same series takes the warm path.
 
 `execute` is the only entry point and is fully serialised by a lock, both
 against itself (the server may run batches on an executor thread pool)
@@ -30,7 +33,6 @@ import threading
 import numpy as np
 
 from ..autodiff import Tensor, no_grad
-from ..core.dhs import ContextState
 from ..core.streaming import StreamSession
 from ..odeint import ADAPTIVE_METHODS
 from ..parallel import union_solve
@@ -74,13 +76,12 @@ class InferenceEngine:
         """Model + serving configuration (the ``info`` op; the load
         generator reads this to synthesise compatible request series)."""
         cfg = self.model.config
-        probe = StreamSession(self.model)
         return {
             "model": self.model.describe(),
             "model_version": self.model_version,
             "input_dim": cfg.input_dim,
             "out_dim": cfg.out_dim,
-            "min_context": probe.min_context,
+            "min_context": self.model.min_context,
             "max_len": cfg.max_len,
             "rtol": cfg.rtol,
             "atol": cfg.atol,
@@ -133,8 +134,7 @@ class InferenceEngine:
                 f"values must be ({len(times)}, {cfg.input_dim}); "
                 f"got {values.shape}")
         n = len(times)
-        min_context = (cfg.latent_dim // cfg.num_heads + 1
-                       if cfg.use_attention else 1)
+        min_context = self.model.min_context
         if n < min_context:
             raise RequestError(
                 f"need >= {min_context} observations, got {n}")
@@ -239,22 +239,11 @@ class InferenceEngine:
             times[i, n:] = r["times"][-1]
             mask[i, :n] = 1.0
 
-        # Encode the whole batch in one pass, keeping the raw GRU carry
-        # (the hidden state at each series' last real row) so warm
-        # sessions can continue the recurrence without re-encoding.
-        dt = np.diff(times, axis=1, prepend=times[:, :1])
-        if cfg.encoder == "gru":
-            feats = np.concatenate([values, dt[..., None], times[..., None]],
-                                   axis=-1)
-            h_seq = model.encoder(Tensor(feats))      # (B, n, hidden)
-            z = model.enc_proj(h_seq)
-        else:
-            feats = np.concatenate([values, times[..., None]], axis=-1)
-            h_seq = None
-            z = model.encoder(Tensor(feats))
-
-        contexts = (model.build_contexts(z, mask)
-                    if cfg.use_attention else [])
+        # Encode the whole batch in one pass, keeping the GRU hidden
+        # states so warm sessions can continue the recurrence from each
+        # series' last real row without re-encoding.
+        z, h_seq = model.encode_carry(values, times)
+        contexts = model.build_contexts(z, mask)
         state0 = model.initial_state(z, contexts)
 
         def func_for(idx: np.ndarray):
@@ -287,28 +276,14 @@ class InferenceEngine:
     def _seed_session(self, i: int, req: dict, z: Tensor, h_seq,
                       uniq: np.ndarray, states_i: Tensor) -> None:
         """Cache a warm session seeded from the batched cold solve."""
-        model = self.model
-        cfg = model.config
         times, values = req["times"], req["values"]
         n = len(times)
-        z_rows = [z.data[i, k].reshape(1, -1) for k in range(n)]
-        if cfg.use_attention:
-            # Per-series exact contexts over the unpadded rows — identical
-            # math to StreamSession._build_contexts, so later rank-1
-            # extends pick up valid Gram bookkeeping.
-            heads = cfg.num_heads
-            hd = cfg.latent_dim // heads
-            z_i = Tensor(z.data[i:i + 1, :n])
-            session_ctx = [ContextState.build(z_i[:, :, j * hd:(j + 1) * hd],
-                                              ridge=cfg.ridge)
-                           for j in range(heads)]
-        else:
-            session_ctx = []
         enc_h = (None if h_seq is None
                  else Tensor(h_seq.data[i, n - 1].reshape(1, -1)))
         session = StreamSession.from_state(
-            model, enc_h=enc_h, last_time=times[-1], z_rows=z_rows,
-            times=times, contexts=session_ctx,
+            self.model, times=times,
+            z_rows=[z.data[i, k].reshape(1, -1) for k in range(n)],
+            enc_h=enc_h,
             y=Tensor(np.array(states_i.data[-1:, :], copy=True)),
             t=float(uniq[-1]))
         self.cache.store(CacheEntry(

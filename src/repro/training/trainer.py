@@ -31,12 +31,6 @@ class TrainConfig:
     patience: int = 20
     seed: int = 0
     verbose: bool = False
-    #: enable trace-checkpointed backprop for the whole run: grad-mode
-    #: replay frames store only step inputs and intermediates are rebuilt
-    #: during backward (see repro.autodiff.set_checkpoint_grads).  Applied
-    #: process-wide when the Trainer is constructed; gradients stay
-    #: bit-identical, peak tape memory drops to O(steps) in step inputs.
-    checkpoint_grads: bool = False
 
 
 @dataclass
@@ -155,12 +149,6 @@ class Trainer:
             # union-grid batched solves (repro.parallel.union_solve); the
             # flag is inert for classification / non-adaptive solvers.
             model.union_forward = True
-        if self.config.checkpoint_grads:
-            # Process-wide switch (gradient workers inherit it at fork);
-            # only ever turned on here so one Trainer cannot silently undo
-            # another's choice.
-            from ..autodiff import set_checkpoint_grads
-            set_checkpoint_grads("on")
 
     # ------------------------------------------------------------------
     def loss_fn(self, batch: Batch) -> Tensor:

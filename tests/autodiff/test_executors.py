@@ -217,6 +217,41 @@ class TestBitIdentity:
         for ep, rp in zip(eager_p, replay_p):
             np.testing.assert_array_equal(ep, rp)
 
+    def test_shared_backward_sums_like_eager(self):
+        """Two replayed calls backpropagated together, each reading the
+        external ``w`` and its input twice: every tensor's gradient must
+        add its contributions one at a time in eager's order, not summed
+        per call first."""
+        rng = np.random.default_rng(5)
+        y_np = rng.normal(size=(4, 6))
+        w_np = rng.normal(size=(4, 6))
+
+        def run(mode):
+            prev = get_executor()
+            set_executor(mode)
+            try:
+                w = Tensor(w_np.copy(), requires_grad=True, name="w")
+
+                def f(t, y):
+                    return (y * w).tanh() * w + y * 0.3
+
+                fn = CompiledFunction(f) if mode == "replay" else f
+                warm = Tensor(y_np.copy(), requires_grad=True)
+                fn(0.0, warm)                   # trace
+                fn(0.1, warm)                   # validate
+                y0 = Tensor(y_np.copy(), requires_grad=True)
+                y1 = fn(0.2, y0)
+                y2 = fn(0.3, y1)
+                (y2 + y1 * y1).sum().backward()
+                return w.grad.copy(), y0.grad.copy()
+            finally:
+                set_executor(prev)
+
+        eager_w, eager_y = run("eager")
+        replay_w, replay_y = run("replay")
+        np.testing.assert_array_equal(eager_w, replay_w)
+        np.testing.assert_array_equal(eager_y, replay_y)
+
 
 class TestGradReplayAliasing:
     """Regressions for the grad-path view-alias fix: ``replay_grad`` must

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiffODE, DiffODEConfig
+from repro.serving.engine import InferenceEngine
 
 from .conftest import make_payload, offline_predictions, tiny_model, \
     tolerance_band
@@ -101,6 +102,13 @@ class TestPredictTimes:
         with pytest.raises(ValueError, match=">= 0"):
             session.predict_times([-0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_query_rejected(self, model, rng, bad):
+        session = fed_session(model, make_payload(rng))
+        with pytest.raises(ValueError, match="query times must be finite"):
+            session.predict_times([0.4, bad])
+
     def test_warming_up_session_raises(self, model):
         session = model.open_stream()
         session.ingest(0.1, np.zeros(1))
@@ -137,3 +145,72 @@ class TestIngestBehindFrontier:
         ref = offline_predictions(model, grown)
         np.testing.assert_array_less(np.abs(preds - ref),
                                      tolerance_band(model, ref) + 1e-300)
+
+
+class TestMaxLen:
+    def test_observation_past_max_len_is_rejected_untouched(self, rng):
+        model = tiny_model(max_len=8)
+        session = fed_session(model, make_payload(rng, n_obs=8))
+        with pytest.raises(RuntimeError, match="max_len=8"):
+            session.ingest(0.9, np.zeros(1))
+        assert session.n_obs == len(session._z_rows) == 8
+
+
+def carry_model(encoder: str) -> DiffODE:
+    return DiffODE(DiffODEConfig(
+        input_dim=2, latent_dim=4, hidden_dim=8, num_heads=1,
+        use_hippo=False, method="dopri5", encoder=encoder, out_dim=1,
+        num_classes=None, max_len=48, seed=1))
+
+
+def assert_close(got, want):
+    """Within 1e-12 of the largest reference magnitude."""
+    want = np.asarray(want)
+    np.testing.assert_allclose(np.asarray(got), want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("encoder", ["gru", "mlp"])
+class TestEncoderCarry:
+    """A session's row-by-row encoder carry matches the model's
+    whole-series encoder, whichever way the session was seeded.  The
+    latent rows may differ in the last bits only: the projection runs on
+    (1, n, H) at once against (1, 1, H) per row."""
+
+    def test_row_by_row_matches_whole_series(self, encoder, rng):
+        model = carry_model(encoder)
+        payload = make_payload(rng, n_obs=12, input_dim=2)
+        session = fed_session(model, payload)
+        times = np.asarray(payload["times"])[None]
+        values = np.asarray(payload["values"])[None]
+        z, states = model.encode_carry(values, times)
+        assert_close(np.concatenate(session._z_rows), z.data[0])
+        if encoder == "gru":
+            np.testing.assert_array_equal(session._enc_h.data,
+                                          states.data[:, -1])
+        else:
+            assert states is None and session._enc_h is None
+
+    def test_seeded_session_grows_like_a_fed_one(self, encoder, rng):
+        model = carry_model(encoder)
+        engine = InferenceEngine(model)
+        payloads = [make_payload(rng, series_id=f"s{i}", n_obs=8 + 2 * i,
+                                 input_dim=2) for i in range(3)]
+        assert all(r["ok"] for r in engine.execute(payloads))
+        extra = rng.normal(size=(3, 2))
+        for payload in payloads:
+            seeded = engine.cache.lookup(
+                payload["series_id"], np.asarray(payload["times"]),
+                np.asarray(payload["values"]), engine.model_version).session
+            fed = fed_session(model, payload)
+            t_last = payload["times"][-1]
+            for k, row in enumerate(extra):
+                for session in (seeded, fed):
+                    session.ingest(t_last + 0.05 * (k + 1), row)
+            assert seeded.n_obs == fed.n_obs == len(payload["times"]) + 3
+            assert_close(np.concatenate(seeded._z_rows),
+                         np.concatenate(fed._z_rows))
+            if encoder == "gru":
+                assert_close(seeded._enc_h.data, fed._enc_h.data)
+            else:
+                assert seeded._enc_h is None and fed._enc_h is None
