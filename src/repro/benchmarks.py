@@ -1356,8 +1356,7 @@ def _serving_offline_reference(model, times, values,
                 else np.concatenate(([0.0], uniq)))
         offset = len(grid) - len(uniq)
         sol = solve(model.dynamics, y0, grid, method="dopri5",
-                    options=SolverOptions(rtol=model.config.rtol,
-                                          atol=model.config.atol))
+                    options=model.solver_options())
         rows = [model.head(sol.ys[offset + k]).data[0] for k in inv]
     return np.stack(rows, axis=0)
 

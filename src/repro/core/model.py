@@ -23,7 +23,7 @@ import numpy as np
 
 from ..autodiff import Tensor, concat, stack
 from ..nn import GRU, Linear, MLP, Module
-from ..odeint import ADAPTIVE_METHODS, SolverOptions, solve
+from ..odeint import ADAPTIVE_METHODS, SolverOptions, SolverStats, solve
 from ..telemetry import get_registry
 from .config import DiffODEConfig
 from .dhs import ContextState, dhs_attention
@@ -183,20 +183,28 @@ class DiffODE(Module):
         states = self.encoder(Tensor(feats), h0=h0)
         return self.enc_proj(states), states
 
-    def build_contexts(self, z: Tensor, mask: np.ndarray | None = None, *,
-                       drift_threshold: float | None = None
-                       ) -> list[ContextState]:
+    def build_contexts(self, z: Tensor,
+                       mask: np.ndarray | None = None) -> list[ContextState]:
         """One attention context per head over the head's latent slice;
-        none without attention.  ``drift_threshold`` governs the contexts'
-        later rank-1 :meth:`~ContextState.extend` calls."""
+        none without attention."""
         if not self.config.use_attention:
             return []
-        heads = self.config.num_heads
-        hd = self.config.latent_dim // heads
+        hd = self._head_dim
         return [ContextState.build(z[:, :, i * hd:(i + 1) * hd], mask,
-                                   ridge=self.config.ridge,
-                                   drift_threshold=drift_threshold)
-                for i in range(heads)]
+                                   ridge=self.config.ridge)
+                for i in range(self.config.num_heads)]
+
+    def extend_contexts(self, contexts: list[ContextState],
+                        z_row: np.ndarray) -> list[ContextState]:
+        """Rank-1 :meth:`~ContextState.extend` of every head's context by
+        its slice of one new latent row (1, latent_dim)."""
+        hd = self._head_dim
+        return [ctx.extend(z_row[:, i * hd:(i + 1) * hd])
+                for i, ctx in enumerate(contexts)]
+
+    @property
+    def _head_dim(self) -> int:
+        return self.config.latent_dim // self.config.num_heads
 
     @property
     def min_context(self) -> int:
@@ -204,14 +212,14 @@ class DiffODE(Module):
         than the latent dims per head (one without attention)."""
         if not self.config.use_attention:
             return 1
-        return self.config.latent_dim // self.config.num_heads + 1
+        return self._head_dim + 1
 
     def initial_state(self, z: Tensor,
                       contexts: list[ContextState]) -> Tensor:
         """``S_0`` from forward attention (plus zero HiPPO/info states)."""
         batch = z.shape[0]
         if self.config.use_attention:
-            hd = self.config.latent_dim // self.config.num_heads
+            hd = self._head_dim
             parts = []
             for head, ctx in enumerate(contexts):
                 q = z[:, 0, head * hd:(head + 1) * hd]
@@ -302,6 +310,38 @@ class DiffODE(Module):
         at_queries = interpolate_grid_states(states, grid, query_times)
         return self.head(at_queries)
 
+    def union_states(self, values: np.ndarray, times: np.ndarray,
+                     mask: np.ndarray, grids: list[np.ndarray], union_solve,
+                     **bucket_kw
+                     ) -> tuple[Tensor, Tensor | None, list, SolverStats]:
+        """Encode the batch and integrate each series from ``t=0`` straight
+        to its own ``grids[i]`` through union-grid buckets.
+
+        ``union_solve`` is :func:`repro.parallel.union_solve` as the caller
+        resolves it: core cannot import the parallel package at load time
+        (that package imports training, which imports core), and the
+        serving engine solves through its own module-level name, which
+        layer instrumentation such as ``perfbench/spans.py`` wraps.
+        ``bucket_kw`` goes to the bucket planner.  Per-head contexts are
+        sliced to each bucket with :meth:`ContextState.take`, so gradients
+        still reach the encoder.  Returns ``Z``, the encoder carry of
+        :meth:`encode_carry`, the per-sample states and the solver stats.
+        """
+        z, carry = self.encode_carry(values, times)
+        contexts = self.build_contexts(z, mask)
+        state0 = self.initial_state(z, contexts)
+
+        def func_for(idx: np.ndarray):
+            self.latent_dynamics.bind([ctx.take(idx) for ctx in contexts])
+            return self.dynamics
+
+        opts = self.solver_options()
+        per_sample, stats = union_solve(
+            func_for, state0, grids, t0=0.0, rtol=opts.rtol, atol=opts.atol,
+            **bucket_kw)
+        self.last_solver_stats = stats
+        return z, carry, per_sample, stats
+
     def _union_forward_regression(self, values: np.ndarray,
                                   times: np.ndarray, mask: np.ndarray,
                                   query_times: np.ndarray,
@@ -311,20 +351,10 @@ class DiffODE(Module):
         Instead of integrating every sample over the uniform readout grid
         and interpolating, the batch is bucketed by query-span overlap and
         each bucket is integrated once directly to its members' query
-        times (:func:`repro.parallel.union_solve`); per-head contexts are
-        sliced to each bucket with :meth:`ContextState.take`, so gradients
-        still reach the encoder.  Padded query columns come back as zeros
-        - the masked loss ignores them.
+        times (:meth:`union_states`).  Padded query columns come back as
+        zeros - the masked loss ignores them.
         """
         from ..parallel import union_solve
-
-        z = self.encode(values, times, mask)
-        contexts = self.build_contexts(z, mask)
-        state0 = self.initial_state(z, contexts)
-
-        def func_for(idx: np.ndarray):
-            self.latent_dynamics.bind([ctx.take(idx) for ctx in contexts])
-            return self.dynamics
 
         q = np.asarray(query_times, dtype=np.float64)
         keep = None
@@ -336,10 +366,8 @@ class DiffODE(Module):
         grids = []
         for i in range(q.shape[0]):
             grids.append(q[i] if keep is None else q[i][keep[i]])
-        per_sample, stats = union_solve(
-            func_for, state0, grids, t0=0.0,
-            rtol=self.config.rtol, atol=self.config.atol)
-        self.last_solver_stats = stats
+        _, _, per_sample, _ = self.union_states(values, times, mask, grids,
+                                                union_solve)
 
         nq = q.shape[1]
         out_dim = self.config.out_dim
@@ -364,8 +392,7 @@ class DiffODE(Module):
     # ------------------------------------------------------------------
     # streaming / online inference
     # ------------------------------------------------------------------
-    def open_stream(self, *, incremental: bool = True,
-                    drift_threshold: float | None = None):
+    def open_stream(self, *, incremental: bool = True):
         """Open a :class:`~repro.core.streaming.StreamSession`.
 
         The session consumes one observation at a time (see
@@ -378,8 +405,7 @@ class DiffODE(Module):
         session per series.
         """
         from .streaming import StreamSession
-        return StreamSession(self, incremental=incremental,
-                             drift_threshold=drift_threshold)
+        return StreamSession(self, incremental=incremental)
 
     # unified entry point used by the task harness
     def forward(self, batch) -> Tensor:

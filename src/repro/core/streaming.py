@@ -80,11 +80,9 @@ class StreamSession:
     re-bind and keep their compiled traces warm.
     """
 
-    def __init__(self, model, *, incremental: bool = True,
-                 drift_threshold: float | None = None):
+    def __init__(self, model, *, incremental: bool = True):
         self.model = model
         self.incremental = bool(incremental)
-        self.drift_threshold = drift_threshold
         cfg = model.config
         self.cfg = cfg
         self.task = ("classification" if cfg.num_classes is not None
@@ -128,8 +126,7 @@ class StreamSession:
         return Tensor(np.stack(self._z_rows, axis=1))   # (1, n, d)
 
     def _exact_contexts(self) -> list[ContextState]:
-        return self.model.build_contexts(self._z_tensor(),
-                                         drift_threshold=self.drift_threshold)
+        return self.model.build_contexts(self._z_tensor())
 
     def _bind(self) -> None:
         self.model.latent_dynamics.bind(self._contexts)
@@ -152,13 +149,10 @@ class StreamSession:
             self.model.initial_state(self._z_tensor(), self._contexts), 0.0)
 
     def _extend_contexts(self, z_row: np.ndarray) -> None:
-        if not self.cfg.use_attention:
+        if not self._contexts:          # no attention: nothing to extend
             return
         if self.incremental:
-            hd = self.cfg.latent_dim // self.cfg.num_heads
-            self._contexts = [
-                ctx.extend(z_row[:, i * hd:(i + 1) * hd])
-                for i, ctx in enumerate(self._contexts)]
+            self._contexts = self.model.extend_contexts(self._contexts, z_row)
         else:
             self._contexts = self._exact_contexts()
         # Re-bind: bumps the graph epoch, so compiled RHS traces from the

@@ -11,8 +11,8 @@ payloads into responses:
   solver frontier resume it.  A new observation *behind* the frontier
   restarts the solve from ``t=0`` over the extended contexts, and a query
   behind it takes a read-only solve from ``t=0``;
-* **cold** requests are collated into one padded batch, encoded together
-  (:meth:`~repro.core.DiffODE.encode_carry`) and solved together through
+* **cold** requests are collated into one padded batch, encoded and
+  solved together by :meth:`~repro.core.DiffODE.union_states` through
   :func:`repro.parallel.union_solve` — the planner groups co-arriving
   series with overlapping query spans so they share one dense dopri5
   integration.  Each cold series then seeds a warm session
@@ -239,27 +239,17 @@ class InferenceEngine:
             times[i, n:] = r["times"][-1]
             mask[i, :n] = 1.0
 
-        # Encode the whole batch in one pass, keeping the GRU hidden
-        # states so warm sessions can continue the recurrence from each
-        # series' last real row without re-encoding.
-        z, h_seq = model.encode_carry(values, times)
-        contexts = model.build_contexts(z, mask)
-        state0 = model.initial_state(z, contexts)
-
-        def func_for(idx: np.ndarray):
-            model.latent_dynamics.bind([ctx.take(idx) for ctx in contexts])
-            return model.dynamics
-
         grids, inverses = [], []
         for r in reqs:
             uniq, inv = np.unique(r["query_times"], return_inverse=True)
             grids.append(uniq)
             inverses.append(inv)
-        per_sample, stats = union_solve(
-            func_for, state0, grids, t0=0.0,
-            max_bucket=self.max_bucket, min_overlap=self.min_overlap,
-            rtol=cfg.rtol, atol=cfg.atol)
-        model.last_solver_stats = stats
+        # One encode over the whole batch, keeping the GRU hidden states so
+        # warm sessions continue the recurrence from each series' last
+        # real row without re-encoding.
+        z, h_seq, per_sample, stats = model.union_states(
+            values, times, mask, grids, union_solve,
+            max_bucket=self.max_bucket, min_overlap=self.min_overlap)
 
         nfev = int(stats.nfev)
         responses = []

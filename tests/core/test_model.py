@@ -163,3 +163,26 @@ class TestStatePersistence:
         m2.load_state_dict(m1.state_dict())
         out2 = m2.forward_classification(values, times, mask).data
         np.testing.assert_allclose(out1, out2, atol=1e-12)
+
+
+class TestContexts:
+    def test_extend_contexts_follows_each_heads_slice(self, rng):
+        """Extending every head by one latent row tracks the per-head
+        contexts built over all rows."""
+        model = DiffODE(small_config(num_heads=2))
+        z = rng.normal(size=(1, 9, 6))
+        ext = model.extend_contexts(model.build_contexts(Tensor(z[:, :8])),
+                                    z[:, 8])
+        full = model.build_contexts(Tensor(z))
+        assert len(ext) == len(full) == 2
+        for a, b in zip(ext, full):
+            np.testing.assert_array_equal(a.z.data, b.z.data)
+            np.testing.assert_allclose(a.zt_pinv.data, b.zt_pinv.data,
+                                       atol=1e-8)
+
+    def test_no_contexts_without_attention(self, rng):
+        model = DiffODE(small_config(use_attention=False))
+        z = rng.normal(size=(1, 4, 6))
+        assert model.build_contexts(Tensor(z)) == []
+        assert model.extend_contexts([], z[:, 0]) == []
+        assert model.min_context == 1
