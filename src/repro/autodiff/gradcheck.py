@@ -17,7 +17,8 @@ def numeric_grad(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray],
 
     ``fn`` must return a scalar Tensor.
     """
-    base = [np.array(x, dtype=np.float64) for x in inputs]
+    # C order, so ``reshape(-1)`` below is a view the perturbations reach.
+    base = [np.array(x, dtype=np.float64, order="C") for x in inputs]
     grad = np.zeros_like(base[index])
     flat = grad.reshape(-1)
     x = base[index].reshape(-1)

@@ -433,10 +433,29 @@ def _fw_getitem(ins, at):
     return ins[0][at["index"]]
 
 
+def _is_basic_index(index) -> bool:
+    """True for numpy basic indexing: ints (not bools), slices, ``None``,
+    ``Ellipsis`` and tuples of these -- indices that never repeat an
+    element."""
+    parts = index if type(index) is tuple else (index,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
 def _bw_getitem(g, ins, out, at, needs):
-    acc = np.zeros(ins[0].shape, dtype=np.float64)
-    np.add.at(acc, at["index"], g)
-    return (acc,)
+    # Both branches add ``g`` onto zeros in np.add.at's element order, so
+    # they are bitwise equal to it, signed zeros included.
+    index = at["index"]
+    shape = ins[0].shape
+    if _is_basic_index(index):
+        acc = np.zeros(shape, dtype=np.float64)
+        acc[index] += g
+        return (acc,)
+    size = ins[0].size
+    flat = np.arange(size).reshape(shape)[index].ravel()
+    acc = np.bincount(flat, weights=g.ravel(), minlength=size)
+    return (acc.reshape(shape),)
 
 
 def _fw_broadcast_to(ins, at):
@@ -644,6 +663,78 @@ register_op("stack", _fw_stack, _bw_stack)
 register_op("where", _fw_where, _bw_where)
 register_op("maximum", _fw_maximum, _bw_maximum)
 register_op("minimum", _fw_minimum, _bw_minimum)
+
+
+# ---------------------------------------------------------------------------
+# recurrent scans
+# ---------------------------------------------------------------------------
+# ``gru_scan`` runs a GRU cell over a (B, T, F) sequence as one op, so a
+# sequence costs one tape node instead of ~20 per step.  Its inputs are
+# ``(x, h0, w_ih, w_hh, b_ih, b_hh)`` and its output every hidden state
+# (B, T, H).  The forward repeats ``nn.GRUCell.forward``'s numpy calls in
+# the same order -- a per-step ``x[:, t] @ w_ih`` (hoisting it over all
+# steps changes the rounding at B = 1) and ``_fw_sigmoid``'s clip -- so
+# its values are bitwise those of the per-step composite.
+
+def _gru_gates(gi, gh, hs):
+    """Reset, update and candidate gates from the input and hidden
+    pre-activations (..., 3H), in ``GRUCell.forward``'s order."""
+    reset = _fw_sigmoid((gi[..., :hs] + gh[..., :hs],), None)
+    update = _fw_sigmoid((gi[..., hs:2 * hs] + gh[..., hs:2 * hs],), None)
+    candidate = np.tanh(gi[..., 2 * hs:] + reset * gh[..., 2 * hs:])
+    return reset, update, candidate
+
+
+def _fw_gru_scan(ins, at):
+    x, h, w_ih, w_hh, b_ih, b_hh = ins
+    hs = w_hh.shape[0]
+    out = np.empty(x.shape[:2] + (hs,))
+    for t in range(x.shape[1]):
+        _, update, candidate = _gru_gates(x[:, t] @ w_ih + b_ih,
+                                          h @ w_hh + b_hh, hs)
+        h = update * h + (1.0 - update) * candidate
+        out[:, t] = h
+    return out
+
+
+def _bw_gru_scan(g, ins, out, at, needs):
+    # Gates are recomputed for all steps at once from the stored states
+    # (h_{t-1} = out[:, t-1]); only the dh recurrence loops over time.
+    x, h0, w_ih, w_hh, b_ih, b_hh = ins
+    batch, steps, hs = out.shape
+    h_prev = np.concatenate([h0[:, None], out[:, :-1]], axis=1)
+    gh = h_prev @ w_hh + b_hh
+    reset, update, cand = _gru_gates(x @ w_ih + b_ih, gh, hs)
+    # d(pre-activation)/dh_t for the candidate and update gates, and the
+    # reset gate's factor on top of the candidate's.
+    d_cand = (1.0 - update) * (1.0 - cand ** 2)
+    d_update = (h_prev - cand) * update * (1.0 - update)
+    d_reset = gh[..., 2 * hs:] * reset * (1.0 - reset)
+    # Pre-activation gradients of gh per unit dh_t: [reset, update, n].
+    coef_h = np.concatenate([d_cand * d_reset, d_update, d_cand * reset],
+                            axis=-1)
+    dh_total = np.empty_like(out)
+    dgh = np.empty_like(gh)
+    w_hh_t = w_hh.T
+    carry = np.zeros((batch, hs))
+    for t in range(steps - 1, -1, -1):
+        dh = g[:, t] + carry
+        dh_total[:, t] = dh
+        dgh[:, t] = np.concatenate([dh, dh, dh], axis=1) * coef_h[:, t]
+        carry = dh * update[:, t] + dgh[:, t] @ w_hh_t
+    dgi = dgh.copy()
+    dgi[..., 2 * hs:] = dh_total * d_cand
+    dgi2 = dgi.reshape(-1, 3 * hs)
+    dgh2 = dgh.reshape(-1, 3 * hs)
+    return (dgi @ w_ih.T if needs[0] else None,
+            carry if needs[1] else None,
+            x.reshape(-1, x.shape[-1]).T @ dgi2 if needs[2] else None,
+            h_prev.reshape(-1, hs).T @ dgh2 if needs[3] else None,
+            dgi2.sum(axis=0) if needs[4] else None,
+            dgh2.sum(axis=0) if needs[5] else None)
+
+
+register_op("gru_scan", _fw_gru_scan, _bw_gru_scan)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, stack
+from ..autodiff import Tensor, apply
 from . import init
 from .module import Module, Parameter
 
@@ -80,31 +80,19 @@ class LSTMCell(Module):
 class GRU(Module):
     """Run a GRUCell over a (B, T, F) sequence; returns all hidden states.
 
-    Optionally append the (scaled) observation time as an extra input
-    channel, which is how the paper feeds timestamps to psi.
+    The whole sequence is one ``gru_scan`` op (one tape node at any T)
+    whose values are bitwise those of stepping ``self.cell``.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator, use_time: bool = False):
+                 rng: np.random.Generator):
         super().__init__()
-        self.use_time = use_time
-        self.cell = GRUCell(input_size + (1 if use_time else 0), hidden_size, rng)
+        self.cell = GRUCell(input_size, hidden_size, rng)
 
-    def forward(self, x: Tensor, times: np.ndarray | None = None,
-                h0: Tensor | None = None) -> Tensor:
-        """Encode sequence ``x`` (B, T, F); returns (B, T, H)."""
-        batch, steps, _ = x.shape
-        h = h0 if h0 is not None else self.cell.initial_state(batch)
-        outputs = []
-        for t in range(steps):
-            step_in = x[:, t, :]
-            if self.use_time:
-                if times is None:
-                    raise ValueError("use_time=True requires times")
-                tcol = Tensor(np.asarray(times)[:, t:t + 1]
-                              if np.asarray(times).ndim == 2
-                              else np.full((batch, 1), float(np.asarray(times)[t])))
-                step_in = concat([step_in, tcol], axis=-1)
-            h = self.cell(step_in, h)
-            outputs.append(h)
-        return stack(outputs, axis=1)
+    def forward(self, x: Tensor, h0: Tensor | None = None) -> Tensor:
+        """Encode sequence ``x`` (B, T, F) from state ``h0`` (B, H; zeros
+        by default); returns (B, T, H)."""
+        cell = self.cell
+        h = h0 if h0 is not None else cell.initial_state(x.shape[0])
+        return apply("gru_scan", (x, h, cell.w_ih, cell.w_hh, cell.b_ih,
+                                  cell.b_hh))

@@ -1,9 +1,10 @@
 """Regression tests: pinv gradients, max tie-splitting, transpose
-aliasing, and all-padded attention rows."""
+aliasing, all-padded attention rows, and gradcheck on non-C-ordered
+inputs."""
 
 import numpy as np
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor, gradcheck, numeric_grad
 from repro.autodiff.functional import masked_softmax
 from repro.core.dhs import dhs_attention
 
@@ -101,3 +102,12 @@ class TestAllPaddedRows:
         np.testing.assert_array_equal(p.data[1], np.zeros(4))
         np.testing.assert_array_equal(s.data[1], np.zeros(3))
         np.testing.assert_allclose(p.data[0].sum(), 1.0)
+
+
+class TestNumericGradLayout:
+    def test_fortran_ordered_input(self):
+        """Perturbations must reach a Fortran-ordered input (such as a
+        transposed orthogonal init), not a flattened copy of it."""
+        a = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        grad = numeric_grad(lambda x: (x ** 2).sum(), [a], 0)
+        np.testing.assert_allclose(grad, 2.0 * a, atol=1e-6)

@@ -94,6 +94,76 @@ def test_reshape_roundtrip_preserves_grad(x):
 
 
 # ---------------------------------------------------------------------------
+# getitem's gradient scatters without np.add.at (assignment for basic
+# indices, bincount for advanced ones); it must stay bitwise np.add.at's,
+# signed zeros included, for any mix of index kinds.
+# ---------------------------------------------------------------------------
+
+def _index_part(draw, n):
+    kind = draw(st.sampled_from(["slice", "int", "npint", "step", "array",
+                                 "column", "none"]))
+    if kind == "slice":
+        return slice(None)
+    if kind == "int":
+        return draw(st.integers(-n, n - 1))
+    if kind == "npint":
+        return np.int64(draw(st.integers(0, n - 1)))
+    if kind == "step":
+        return slice(draw(st.integers(-n, n - 1)), None,
+                     draw(st.sampled_from([-2, -1, 1, 2, 3])))
+    if kind == "array":    # duplicates and negative indices
+        return np.array(draw(st.lists(st.integers(-n, n - 1), max_size=4)),
+                        dtype=np.int64)
+    if kind == "column":   # broadcasts against another index array
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                      max_size=3)))[:, None]
+    return None
+
+
+@st.composite
+def _indexed(draw):
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=1,
+                              max_side=4))
+    form = draw(st.sampled_from(["tuple", "single", "ellipsis", "mask"]))
+    if form == "mask":
+        index = np.array(draw(st.lists(st.booleans(), min_size=shape[0],
+                                       max_size=shape[0])))
+    else:
+        parts = []
+        for n in shape:
+            part = _index_part(draw, n)
+            parts.append(part)
+            if part is None:          # None adds an axis; still index n
+                parts.append(slice(None))
+        if form == "single":
+            index = parts[0]
+        elif form == "ellipsis":
+            index = (parts[0], Ellipsis)
+        else:
+            index = tuple(parts)
+    return shape, index, draw(st.integers(0, 2 ** 31 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_indexed())
+def test_getitem_gradient_is_bitwise_add_at(case):
+    shape, index, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    try:
+        out = x[index]
+    except IndexError:          # broadcast or bounds mismatch: no case
+        return
+    g = rng.normal(size=out.shape)
+    g[rng.random(g.shape) < 0.25] = -0.0
+    out.backward(g)
+    ref = np.zeros(shape)
+    np.add.at(ref, index, g)
+    np.testing.assert_array_equal(x.grad, ref)
+    np.testing.assert_array_equal(np.signbit(x.grad), np.signbit(ref))
+
+
+# ---------------------------------------------------------------------------
 # interpolate_grid_states: linear in the states, so gradcheck must pass for
 # any grid/query configuration (including queries outside the grid range,
 # which clip to the endpoints).
