@@ -289,22 +289,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # arithmetic
 # ---------------------------------------------------------------------------
 
+# Binary rules compute a parent's gradient only when ``needs`` asks for it:
+# a constant operand (readout weights, a loss mask, a solver coefficient)
+# then costs neither its product nor its unbroadcast sum.
+
 def _bw_add(g, ins, out, at, needs):
-    return (_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape))
+    return (_unbroadcast(g, ins[0].shape) if needs[0] else None,
+            _unbroadcast(g, ins[1].shape) if needs[1] else None)
 
 
 def _bw_sub(g, ins, out, at, needs):
-    return (_unbroadcast(g, ins[0].shape), _unbroadcast(-g, ins[1].shape))
+    return (_unbroadcast(g, ins[0].shape) if needs[0] else None,
+            _unbroadcast(-g, ins[1].shape) if needs[1] else None)
 
 
 def _bw_mul(g, ins, out, at, needs):
-    return (_unbroadcast(g * ins[1], ins[0].shape),
-            _unbroadcast(g * ins[0], ins[1].shape))
+    return (_unbroadcast(g * ins[1], ins[0].shape) if needs[0] else None,
+            _unbroadcast(g * ins[0], ins[1].shape) if needs[1] else None)
 
 
 def _bw_div(g, ins, out, at, needs):
-    return (_unbroadcast(g / ins[1], ins[0].shape),
-            _unbroadcast(-g * ins[0] / (ins[1] ** 2), ins[1].shape))
+    return (_unbroadcast(g / ins[1], ins[0].shape) if needs[0] else None,
+            _unbroadcast(-g * ins[0] / (ins[1] ** 2), ins[1].shape)
+            if needs[1] else None)
 
 
 def _bw_neg(g, ins, out, at, needs):
@@ -633,8 +640,10 @@ def _fw_where(ins, at):
 def _bw_where(g, ins, out, at, needs):
     cond = ins[0]
     return (None,
-            _unbroadcast(np.where(cond, g, 0.0), ins[1].shape),
-            _unbroadcast(np.where(cond, 0.0, g), ins[2].shape))
+            _unbroadcast(np.where(cond, g, 0.0), ins[1].shape)
+            if needs[1] else None,
+            _unbroadcast(np.where(cond, 0.0, g), ins[2].shape)
+            if needs[2] else None)
 
 
 def _fw_maximum(ins, at):
@@ -644,8 +653,7 @@ def _fw_maximum(ins, at):
 def _bw_maximum(g, ins, out, at, needs):
     # ties send gradient to the first argument
     mask = ins[0] >= ins[1]
-    return (_unbroadcast(np.where(mask, g, 0.0), ins[0].shape),
-            _unbroadcast(np.where(mask, 0.0, g), ins[1].shape))
+    return _select_grads(g, mask, ins, needs)
 
 
 def _fw_minimum(ins, at):
@@ -654,8 +662,16 @@ def _fw_minimum(ins, at):
 
 def _bw_minimum(g, ins, out, at, needs):
     mask = ins[0] <= ins[1]
-    return (_unbroadcast(np.where(mask, g, 0.0), ins[0].shape),
-            _unbroadcast(np.where(mask, 0.0, g), ins[1].shape))
+    return _select_grads(g, mask, ins, needs)
+
+
+def _select_grads(g, mask, ins, needs):
+    """``maximum``/``minimum`` gradients: ``g`` where ``mask`` picks the
+    first operand, the rest to the second."""
+    return (_unbroadcast(np.where(mask, g, 0.0), ins[0].shape)
+            if needs[0] else None,
+            _unbroadcast(np.where(mask, 0.0, g), ins[1].shape)
+            if needs[1] else None)
 
 
 register_op("concat", _fw_concat, _bw_concat)

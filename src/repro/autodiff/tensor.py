@@ -253,7 +253,27 @@ class Tensor:
                 leaves.append(t)
         interior.sort(key=lambda t: t._node.id, reverse=True)
 
+        # A parent's first contribution is stored as is; it may alias a
+        # rule's input or another parent's gradient.  The second allocates
+        # ``a + b``, which this pass then owns and adds later contributions
+        # into in place, so no array the pass did not allocate is written.
+        # An entry gets no contributions after it is popped for its rule
+        # (its consumers all have larger node ids) or handed to a leaf.
         grads: dict[int, np.ndarray] = {id(self): grad}
+        owned: set[int] = set()
+
+        def accumulate(key: int, part: np.ndarray) -> None:
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = part
+            elif key in owned and acc.shape == np.shape(part):
+                np.add(acc, part, out=acc)
+            else:
+                acc = acc + part
+                grads[key] = acc
+                if type(acc) is np.ndarray:
+                    owned.add(key)
+
         for t in interior:
             node_grad = grads.pop(id(t), None)
             if node_grad is None:
@@ -277,12 +297,9 @@ class Tensor:
                     # A replay fat node's per-op contributions, in the
                     # order eager would have added them.
                     for part in pgrad:
-                        grads[key] = (grads[key] + part if key in grads
-                                      else part)
-                elif key in grads:
-                    grads[key] = grads[key] + pgrad
+                        accumulate(key, part)
                 else:
-                    grads[key] = pgrad
+                    accumulate(key, pgrad)
         # Anything left belongs to leaves encountered exactly once.
         for t in leaves:
             remaining = grads.pop(id(t), None)

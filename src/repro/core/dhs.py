@@ -13,7 +13,10 @@ Implements Sections III-B and III-C of the paper:
   least-norm solution ``b_p``), and ``ada_h`` (trainable ``h``);
 * the exact KKT solver of Theorem 1 (``solve_p_exact_kkt``) for small ``n``;
 * recovery of ``z_t`` from ``p_t`` (Eq. 34), in both the literal pinv form
-  and an O(n) closed form (see DESIGN.md section 4).
+  and an O(n) closed form (see DESIGN.md section 4);
+* two fused IR ops the ODE right-hand side records once per head:
+  ``dhs_recover`` (a p-solver followed by :func:`recover_z`) and
+  ``dhs_ds`` (Eq. 12 for one head, multiplied right to left).
 
 Masking convention: every formula that contains ``I_n`` or the all-ones
 vector ``J`` in the paper uses ``diag(m)`` / ``m`` instead, where ``m`` is
@@ -27,7 +30,9 @@ from itertools import combinations
 
 import numpy as np
 
-from ..autodiff import Tensor, as_tensor, mark_static, masked_softmax, softmax
+from ..autodiff import (Tensor, apply, as_tensor, mark_static,
+                        masked_softmax, softmax)
+from ..autodiff.ir import register_op
 from ..telemetry import get_registry
 
 __all__ = [
@@ -39,6 +44,8 @@ __all__ = [
     "solve_p_exact_kkt",
     "recover_z",
     "recover_z_literal",
+    "dhs_recover",
+    "dhs_ds",
     "P_SOLVERS",
 ]
 
@@ -444,6 +451,143 @@ def recover_z(p: Tensor, ctx: ContextState, h2: Tensor) -> Tensor:
     hp = (p * h2.reshape(-1)[None, :]).sum(axis=-1, keepdims=True)
     a_h = p * (hp / pp) - ctx.mask_t
     return (a_h[:, None, :] @ ctx.zt_pinv)[:, 0, :] * np.sqrt(ctx.d)
+
+
+# ---------------------------------------------------------------------------
+# fused ops for the ODE right-hand side
+# ---------------------------------------------------------------------------
+# The right-hand side evaluates a p-solver, :func:`recover_z` and Eq. 12 per
+# head at every solver stage; as composites they cost 34 tape nodes per head
+# and evaluation.  ``dhs_recover`` and ``dhs_ds`` record one node each.  Their
+# forwards repeat the composites' numpy calls in the same order, so values
+# are bitwise the composites'.  Their backwards recompute the few (B, n)
+# intermediates from the inputs and ``out``, and form each context gradient
+# as one product whose contracted dimension is 2, instead of two outer
+# products and an add.
+
+def _fw_dhs_recover(ins, at):
+    s, zt_pinv, a_ones, denom, mask, h2 = ins[:6]
+    b = (zt_pinv @ s[:, :, None])[:, :, 0]                 # least_norm_p
+    solver = at["p_solver"]
+    if solver == "max_hoyer":
+        excess = b.sum(axis=-1, keepdims=True) - 1.0
+        p = b - a_ones[:, :, 0] * (excess / denom)
+    elif solver == "ada_h":
+        a_null, h = ins[6:]
+        p = b + (a_null @ h.reshape(-1)[None, :, None])[:, :, 0] * mask
+    else:
+        p = b
+    pp = (p * p).sum(axis=-1, keepdims=True) + _EPS         # recover_z
+    hp = (p * h2.reshape(-1)[None, :]).sum(axis=-1, keepdims=True)
+    a_h = p * (hp / pp) - mask
+    z = (a_h[:, None, :] @ zt_pinv)[:, 0, :] * np.sqrt(zt_pinv.shape[-1])
+    return np.concatenate([p, z], axis=1)
+
+
+def _bw_dhs_recover(g, ins, out, at, needs):
+    s, zt_pinv, a_ones, denom, mask, h2 = ins[:6]
+    n = zt_pinv.shape[1]
+    root_d = np.sqrt(zt_pinv.shape[-1])
+    p, g_z = out[:, :n], g[:, n:]
+    grads = [None] * len(ins)        # the 0/1 mask carries no gradient
+    # Eq. 34: z = sqrt(d) a_h (Z^T)^+ with a_h = p (hp / pp) - m.
+    h2_row = h2.reshape(-1)[None, :]
+    pp = (p * p).sum(axis=-1, keepdims=True) + _EPS
+    hp = (p * h2_row).sum(axis=-1, keepdims=True)
+    ratio = hp / pp
+    a_h = p * ratio - mask
+    g_ah = (zt_pinv @ g_z[:, :, None])[:, :, 0] * root_d
+    g_ratio = (g_ah * p).sum(axis=-1, keepdims=True)
+    g_hp = g_ratio / pp
+    g_p = (g[:, :n] + g_ah * ratio + g_hp * h2_row
+           - 2.0 * (g_ratio * ratio / pp) * p)
+    if needs[5]:
+        grads[5] = (g_hp * p).sum(axis=0).reshape(h2.shape)
+    # The p-solver: p = b + correction, with b = (Z^T)^+ s.
+    g_b = g_p
+    solver = at["p_solver"]
+    if solver == "max_hoyer":
+        # correction = -a (sum(b) - 1) / denom
+        b = (zt_pinv @ s[:, :, None])[:, :, 0]
+        q = (b.sum(axis=-1, keepdims=True) - 1.0) / denom
+        g_q = -(g_p * a_ones[:, :, 0]).sum(axis=-1, keepdims=True)
+        g_b = g_p + g_q / denom
+        if needs[2]:
+            grads[2] = (-g_p * q)[:, :, None]
+        if needs[3]:
+            grads[3] = -g_q * q / denom
+    elif solver == "ada_h":
+        # correction = (A_p h) * m
+        a_null, h = ins[6:]
+        g_corr = g_p * mask
+        if needs[6]:
+            grads[6] = g_corr[:, :, None] * h.reshape(-1)[None, None, :]
+        if needs[7]:
+            grads[7] = ((g_corr[:, None, :] @ a_null)[:, 0, :]
+                        .sum(axis=0).reshape(h.shape))
+    if needs[0]:
+        grads[0] = (g_b[:, None, :] @ zt_pinv)[:, 0, :]
+    if needs[1]:
+        # d(Z^T)^+ = g_b s^T + a_h (sqrt(d) g_z)^T as one k = 2 product
+        grads[1] = (np.stack([g_b, a_h], axis=-1)
+                    @ np.stack([s, root_d * g_z], axis=1))
+    return tuple(grads)
+
+
+def _fw_dhs_ds(ins, at):
+    p, dz, z = ins
+    p_col = p[:, :, None]                                   # (B, n, 1)
+    pg = p_col * (z @ dz[:, :, None])                       # p * g
+    w = pg - p_col * pg.sum(axis=1, keepdims=True)
+    return (np.swapaxes(w, -2, -1) @ z)[:, 0, :] * at["scale"]
+
+
+def _bw_dhs_ds(g, ins, out, at, needs):
+    p, dz, z = ins
+    g_ds = g * at["scale"]
+    gz = (z @ dz[:, :, None])[:, :, 0]                      # Z dz^T
+    pg = p * gz
+    pg_sum = pg.sum(axis=-1, keepdims=True)
+    g_w = (z @ g_ds[:, :, None])[:, :, 0]
+    g_pg = g_w - (g_w * p).sum(axis=-1, keepdims=True)
+    g_gz = g_pg * p
+    g_p = g_pg * gz - g_w * pg_sum if needs[0] else None
+    g_dz = (g_gz[:, None, :] @ z)[:, 0, :] if needs[1] else None
+    g_zz = None
+    if needs[2]:
+        # dZ = g_gz dz^T + w g_ds^T as one k = 2 product
+        w = pg - p * pg_sum
+        g_zz = (np.stack([g_gz, w], axis=-1)
+                @ np.stack([dz, g_ds], axis=1))
+    return g_p, g_dz, g_zz
+
+
+register_op("dhs_recover", _fw_dhs_recover, _bw_dhs_recover)
+register_op("dhs_ds", _fw_dhs_ds, _bw_dhs_ds)
+
+
+def dhs_recover(ctx: ContextState, s: Tensor, h2: Tensor,
+                p_solver: str = "max_hoyer",
+                h: Tensor | None = None) -> Tensor:
+    """``[p | z_t]`` (B, n + d) as one ``dhs_recover`` node.
+
+    Bitwise equal to ``P_SOLVERS[p_solver](ctx, s, h=h)`` followed by
+    :func:`recover_z` with ``h2``.
+    """
+    ins = (s, ctx.zt_pinv, ctx._a_ones, ctx._denom, ctx.mask_t, h2)
+    if p_solver == "ada_h":
+        if h is None:
+            raise ValueError("ada_h solver requires the trainable vector h")
+        ins += (ctx.a_null, h)
+    return apply("dhs_recover", ins, {"p_solver": p_solver})
+
+
+def dhs_ds(p: Tensor, dz: Tensor, z: Tensor) -> Tensor:
+    """One head's Eq. 12, ``dz Z^T (P_diag - p^T p) Z / sqrt(d)`` (B, d),
+    as one ``dhs_ds`` node, multiplied right to left (the softmax JVP):
+    ``g = Z dz^T``, ``w = p*g - p (p.g)``, then ``w^T Z``."""
+    return apply("dhs_ds", (p, dz, z),
+                 {"scale": 1.0 / np.sqrt(z.shape[-1])})
 
 
 def recover_z_literal(p: Tensor, ctx: ContextState, h2: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 from ..autodiff import Tensor, bump_graph_epoch, concat, mark_static, time_tensor
 from ..linalg import hippo_legt
 from ..nn import MLP, Linear, Module, Parameter
-from .dhs import P_SOLVERS, ContextState, recover_z
+from .dhs import P_SOLVERS, ContextState, dhs_ds, dhs_recover
 
 __all__ = ["DHSDynamics", "AugmentedDynamics", "PlainLatentDynamics"]
 
@@ -105,35 +105,30 @@ class DHSDynamics(Module):
 
     # ------------------------------------------------------------------
     def forward(self, t: float, s: Tensor) -> Tensor:
-        """Evaluate ``dS/dt`` at scalar time ``t`` for states ``s`` (B, d)."""
+        """Evaluate ``dS/dt`` at scalar time ``t`` for states ``s`` (B, d).
+
+        Per head, one ``dhs_recover`` node yields ``[p | z_t]`` (Eqs.
+        32/34) and one ``dhs_ds`` node Eq. 12; only the shared ``phi``
+        runs as composite ops in between.
+        """
         if self._contexts is None:
             raise RuntimeError("DHSDynamics.bind() must be called first")
         batch = s.shape[0]
         hd = self.head_dim
         z_parts: list[Tensor] = []
-        head_data: list[tuple[ContextState, Tensor]] = []
+        head_p: list[tuple[ContextState, Tensor]] = []
         for head, ctx in enumerate(self._contexts):
-            s_head = s[:, head * hd:(head + 1) * hd]
-            p = self.solve_p(ctx, s_head)
-            z_parts.append(recover_z(p, ctx, self._h_slices(ctx)[1]))
-            head_data.append((ctx, p))
+            h_s, h2_s = self._h_slices(ctx)
+            pz = dhs_recover(ctx, s[:, head * hd:(head + 1) * hd], h2_s,
+                             self.p_solver, h_s)
+            head_p.append((ctx, pz[:, :ctx.n]))
+            z_parts.append(pz[:, ctx.n:])
 
         z = concat(z_parts, axis=-1)
         t_col = time_tensor(t, (batch, 1))
         dz = self.phi(concat([z, t_col], axis=-1))  # (B, latent_dim)
-
-        ds_parts: list[Tensor] = []
-        for head, (ctx, p) in enumerate(head_data):
-            dz_head = dz[:, head * hd:(head + 1) * hd]
-            # Eq. 12 multiplied right to left, as the softmax JVP:
-            # g = Z dz^T, then (P_diag - p^T p) g = p*g - p (p.g), then
-            # times Z - O(n d) per head, never forming a (d, d) coupling.
-            p_col = p[:, :, None]                         # (B, n, 1)
-            pg = p_col * (ctx.z @ dz_head[:, :, None])    # p * g
-            w = pg - p_col * pg.sum(axis=1, keepdims=True)
-            ds_head = (w.transpose() @ ctx.z)[:, 0, :]    # (B, hd)
-            ds_parts.append(ds_head * (1.0 / np.sqrt(hd)))
-        ds = concat(ds_parts, axis=-1)
+        ds = concat([dhs_ds(p, dz[:, head * hd:(head + 1) * hd], ctx.z)
+                     for head, (ctx, p) in enumerate(head_p)], axis=-1)
         if self.ds_clip is not None:
             ds = ds.clip(-self.ds_clip, self.ds_clip)
         return ds

@@ -3,9 +3,10 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
+from hypothesis.extra.numpy import (array_shapes, arrays,
+                                   mutually_broadcastable_shapes)
 
-from repro.autodiff import Tensor, cross_entropy, gradcheck, softmax
+from repro.autodiff import OPS, Tensor, cross_entropy, gradcheck, softmax
 from repro.core import interpolate_grid_states
 from repro.data import Sample, collate
 from repro.nn import MLP
@@ -161,6 +162,53 @@ def test_getitem_gradient_is_bitwise_add_at(case):
     np.add.at(ref, index, g)
     np.testing.assert_array_equal(x.grad, ref)
     np.testing.assert_array_equal(np.signbit(x.grad), np.signbit(ref))
+
+
+# ---------------------------------------------------------------------------
+# Binary backward rules compute only the gradients ``needs`` asks for; what
+# they do return is bitwise what the all-needed call returns.
+# ---------------------------------------------------------------------------
+
+_BINARY_RULES = ("add", "sub", "mul", "div", "where", "maximum", "minimum")
+
+
+@st.composite
+def _binary_case(draw):
+    opcode = draw(st.sampled_from(_BINARY_RULES))
+    arity = 3 if opcode == "where" else 2
+    shapes = draw(mutually_broadcastable_shapes(num_shapes=arity, max_dims=3,
+                                                max_side=4)).input_shapes
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    # Half-integer values, so maximum/minimum see ties.
+    ins = [np.round(2.0 * rng.normal(size=shape)) / 2.0 for shape in shapes]
+    if opcode == "where":       # the condition never carries a gradient
+        ins[0] = ins[0] > 0
+        needs = (False,) + draw(st.tuples(st.booleans(), st.booleans()))
+    else:
+        needs = draw(st.tuples(st.booleans(), st.booleans()))
+    if opcode == "div":
+        ins[1] = np.abs(ins[1]) + 0.5
+    return opcode, tuple(ins), needs, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binary_case())
+def test_binary_rules_honour_needs(case):
+    opcode, ins, needs, rng = case
+    spec = OPS[opcode]
+    out = spec.forward(ins, None)
+    g = rng.normal(size=np.shape(out))
+    full = spec.backward(g, ins, out, None, (True,) * len(ins))
+    partial = spec.backward(g, ins, out, None, needs)
+    assert len(partial) == len(ins)
+    for i, need in enumerate(needs):
+        if not need or (opcode == "where" and i == 0):
+            assert partial[i] is None
+            continue
+        assert partial[i].shape == np.shape(ins[i])
+        np.testing.assert_array_equal(partial[i], full[i])
+        np.testing.assert_array_equal(np.signbit(partial[i]),
+                                      np.signbit(full[i]))
 
 
 # ---------------------------------------------------------------------------

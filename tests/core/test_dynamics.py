@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor, apply, concat, gradcheck, tape_profile
 from repro.core import AugmentedDynamics, ContextState, DHSDynamics, \
     DiffODE, DiffODEConfig, P_SOLVERS, PlainLatentDynamics, dhs_attention, \
     recover_z
+from repro.core.dhs import dhs_ds, dhs_recover
 
 
 def eq12_literal(dz, p, z_all):
@@ -15,6 +18,17 @@ def eq12_literal(dz, p, z_all):
     the regrouped right-hand side is held to."""
     coupling = z_all.T @ (np.diag(p) - np.outer(p, p)) @ z_all
     return dz @ coupling / np.sqrt(z_all.shape[-1])
+
+
+def eq12_right_to_left(p, dz, z):
+    """Eq. 12 for one head in Tensor ops, multiplied right to left as the
+    softmax JVP: ``g = Z dz^T``, then ``(P_diag - p^T p) g = p*g - p
+    (p.g)``, then times ``Z``.  The composite the ``dhs_ds`` op is held
+    to, bitwise."""
+    p_col = p[:, :, None]                         # (B, n, 1)
+    pg = p_col * (z @ dz[:, :, None])             # p * g
+    w = pg - p_col * pg.sum(axis=1, keepdims=True)
+    return (w.transpose() @ z)[:, 0, :] * (1.0 / np.sqrt(z.shape[-1]))
 
 
 class TestEquation6ChainRule:
@@ -140,6 +154,145 @@ class TestEquation12Oracle:
         finally:
             object.__setattr__(fc0, "weight", params[0])
             object.__setattr__(fc1, "weight", params[1])
+
+
+@st.composite
+def _dhs_case(draw):
+    """A masked batch with per-head contexts: B 1-4, head dim 1-4, one
+    or two heads, n from hd + 1 to hd + 8, 0-3 padded rows per series
+    (at least hd + 1 valid), any p-solver."""
+    batch = draw(st.integers(1, 4))
+    hd = draw(st.integers(1, 4))
+    heads = draw(st.integers(1, 2))
+    n = draw(st.integers(hd + 1, hd + 8))
+    pads = draw(st.lists(st.integers(0, 3), min_size=batch,
+                         max_size=batch))
+    solver = draw(st.sampled_from(sorted(P_SOLVERS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    mask = np.ones((batch, n))
+    for b, pad in enumerate(pads):
+        mask[b, n - min(pad, n - hd - 1):] = 0.0
+    z = rng.normal(size=(batch, n, heads * hd))
+    contexts = [ContextState.build(Tensor(z[:, :, h * hd:(h + 1) * hd]),
+                                   mask) for h in range(heads)]
+    return contexts, solver, rng
+
+
+def _leaf(array):
+    return Tensor(np.array(array), requires_grad=True)
+
+
+def _values_and_grads(fn, inputs, g):
+    """``fn(*inputs)``'s value and each input's gradient under ``g``."""
+    for t in inputs:
+        t.grad = None
+    out = fn(*inputs)
+    out.backward(g)
+    return out.data, [t.grad for t in inputs]
+
+
+def _assert_grads_close(grads, ref_grads):
+    for got, ref in zip(grads, ref_grads):
+        if ref is None:
+            assert got is None
+            continue
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestFusedOps:
+    """``dhs_recover`` and ``dhs_ds`` are held to the composites they
+    replace: values bitwise, every input's gradient within
+    1e-12 of its largest magnitude."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_dhs_case())
+    def test_recover_matches_solver_and_recover_z(self, case):
+        contexts, solver, rng = case
+        for ctx in contexts:
+            batch, n, hd = ctx.z.shape
+            # The op's context inputs as leaves, so each gets a gradient.
+            ctx.zt_pinv = _leaf(ctx.zt_pinv.data)
+            ctx._a_ones = _leaf(ctx._a_ones.data)
+            ctx._denom = _leaf(ctx._denom.data)
+            ctx._a_null = _leaf(ctx.a_null.data)
+            s, h, h2 = (_leaf(rng.normal(size=(batch, hd))),
+                        _leaf(rng.normal(scale=0.1, size=n)),
+                        _leaf(rng.normal(scale=0.1, size=n)))
+            inputs = [s, h, h2, ctx.zt_pinv, ctx._a_ones, ctx._denom,
+                      ctx._a_null]
+            g = rng.normal(size=(batch, n + hd))
+
+            def composite(s, h, h2, *_):
+                p = P_SOLVERS[solver](ctx, s, h=h)
+                return concat([p, recover_z(p, ctx, h2)], axis=-1)
+
+            def fused(s, h, h2, *_):
+                return dhs_recover(ctx, s, h2, solver, h)
+
+            out, grads = _values_and_grads(fused, inputs, g)
+            ref, ref_grads = _values_and_grads(composite, inputs, g)
+            np.testing.assert_array_equal(out, ref)
+            assert np.all(out[:, :n][ctx.mask == 0.0] == 0.0)
+            _assert_grads_close(grads, ref_grads)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_dhs_case())
+    def test_ds_matches_right_to_left_block(self, case):
+        contexts, solver, rng = case
+        for ctx in contexts:
+            batch, n, hd = ctx.z.shape
+            p = P_SOLVERS[solver](ctx, Tensor(rng.normal(size=(batch, hd))),
+                                  h=Tensor(rng.normal(size=n)))
+            inputs = [_leaf(p.data), _leaf(rng.normal(size=(batch, hd))),
+                      _leaf(ctx.z.data)]
+            g = rng.normal(size=(batch, hd))
+            out, grads = _values_and_grads(dhs_ds, inputs, g)
+            ref, ref_grads = _values_and_grads(eq12_right_to_left, inputs, g)
+            np.testing.assert_array_equal(out, ref)
+            _assert_grads_close(grads, ref_grads)
+
+    @pytest.mark.parametrize("solver", sorted(P_SOLVERS))
+    def test_recover_gradcheck(self, rng, solver):
+        z, mask = _masked_batch(rng, n=6, d=2)
+        ctx = ContextState.build(Tensor(z), mask)
+        weights = Tensor(rng.normal(size=(3, 8)))
+
+        def fn(s, zt_pinv, a_ones, denom, h2, *ada_h):
+            out = apply("dhs_recover",
+                        (s, zt_pinv, a_ones, denom, ctx.mask_t, h2) + ada_h,
+                        {"p_solver": solver})
+            return (out * weights).sum()
+
+        inputs = [rng.normal(size=(3, 2)), ctx.zt_pinv.data,
+                  ctx._a_ones.data, ctx._denom.data, rng.normal(size=6)]
+        if solver == "ada_h":
+            inputs += [ctx.a_null.data, rng.normal(size=6)]
+        gradcheck(fn, inputs)
+
+    def test_ds_gradcheck(self, rng):
+        z, mask = _masked_batch(rng, n=6, d=2)
+        weights = Tensor(rng.normal(size=(3, 2)))
+        p = rng.random((3, 6)) * mask
+        gradcheck(lambda p, dz, z: (dhs_ds(p, dz, z) * weights).sum(),
+                  [p / p.sum(axis=-1, keepdims=True), rng.normal(size=(3, 2)),
+                   z * mask[..., None]])
+
+    @pytest.mark.parametrize("solver", sorted(P_SOLVERS))
+    def test_one_node_per_head_and_op(self, rng, solver):
+        """A 2-head evaluation records two nodes of each fused op, and its
+        only matmuls are phi's two layers."""
+        dyn = DHSDynamics(4, 8, rng, p_solver=solver, num_heads=2,
+                          max_len=16)
+        z, mask = _masked_batch(rng, d=4)
+        _bind(dyn, Tensor(z, requires_grad=True), mask)
+        s = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with tape_profile() as prof:
+            dyn(0.3, s)
+        counts = {op: rec.count for op, rec in prof.ops.items()}
+        assert counts["dhs_recover"] == 2
+        assert counts["dhs_ds"] == 2
+        assert counts["matmul"] == 2
 
 
 class TestDHSDynamics:
