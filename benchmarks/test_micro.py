@@ -192,43 +192,3 @@ def test_pass_pipeline_beats_plain_replay(save_result):
         f"{best['pass_stats']['hoisted_ops']:.0f} ops hoisted, "
         f"solve max|diff| {best['solve']['max_abs_diff']:.1e}, "
         f"grad max|diff| {best['grads']['max_abs_diff']:.1e}"))
-
-
-def test_codegen_beats_replay_rhs(save_result):
-    """The codegen backend must cut >= 1.5x off the per-call RHS cost of
-    the interpreted replay on the MLP-dynamics microbenchmark, with the
-    dopri5 solve bit-identical to eager under both backends and the
-    fat-node gradients untouched (wall-clock: best of 3 benchmark runs)."""
-    from repro.benchmarks import run_codegen
-
-    from .conftest import RESULTS_DIR
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_codegen.json"
-    best = None
-    for _ in range(3):
-        payload = run_codegen(out)
-        assert payload["solve"]["max_abs_diff_replay"] == 0.0, payload
-        assert payload["solve"]["max_abs_diff_codegen"] == 0.0, payload
-        assert payload["grads"]["max_abs_diff"] == 0.0, payload
-        assert payload["grads"]["bit_identical"], payload
-        assert payload["rhs"]["entry_states"] == {"off": "ready",
-                                                  "on": "codegen"}, payload
-        if (best is None or payload["rhs"]["codegen_vs_replay"]
-                > best["rhs"]["codegen_vs_replay"]):
-            best = payload
-        if best["rhs"]["codegen_vs_replay"] >= 1.5:
-            break
-    out.write_text(json.dumps(best, indent=2) + "\n")
-    assert best["rhs"]["codegen_vs_replay"] >= 1.5, best
-    assert best["codegen"]["builds"] >= 1, best
-    assert best["codegen"]["calls"] > 0, best
-    assert best["codegen"]["fallbacks"] == 0, best
-    save_result("BENCH_codegen", (
-        f"codegen backend: replay {best['rhs']['replay_us']:.1f}us/call vs "
-        f"codegen {best['rhs']['codegen_us']:.1f}us/call "
-        f"({best['rhs']['codegen_vs_replay']:.2f}x vs replay, "
-        f"{best['rhs']['codegen_vs_eager']:.2f}x vs eager), solve "
-        f"{best['solve']['codegen_vs_replay_per_nfe']:.2f}x per NFE, "
-        f"solve max|diff| {best['solve']['max_abs_diff_codegen']:.1e}, "
-        f"grad max|diff| {best['grads']['max_abs_diff']:.1e}"))

@@ -7,9 +7,10 @@ Run from anywhere inside the repository::
 
 Both revisions' committed files are exported (``git archive``, with the
 helper of ``scripts/perf_pairs.py``) into temporary directories, removed
-on exit.  For each executor mode (eager, replay, replay+codegen) and each
-side, a child process runs the probes below with that side's ``src`` on
-the path.  The probes use perfbench's model sizes and inputs
+on exit.  For each executor mode (eager and replay; under replay every
+validated ``no_grad`` call runs a generated kernel) and each side, a
+child process runs the probes below with that side's ``src`` on the
+path.  The probes use perfbench's model sizes and inputs
 (``perfbench/workloads.py``: seed-0 weights, one 32-series batch of
 PhysioNet-like stays drawn with seed 1):
 
@@ -47,9 +48,8 @@ from perf_pairs import SIDES, export  # noqa: E402
 
 #: executor settings of each mode, as environment variables
 MODES = {
-    "eager": {"REPRO_EXECUTOR": "eager", "REPRO_CODEGEN": "off"},
-    "replay": {"REPRO_EXECUTOR": "replay", "REPRO_CODEGEN": "off"},
-    "replay+codegen": {"REPRO_EXECUTOR": "replay", "REPRO_CODEGEN": "on"},
+    "eager": {"REPRO_EXECUTOR": "eager"},
+    "replay": {"REPRO_EXECUTOR": "replay"},
 }
 #: gradients may differ by this much of their largest magnitude
 GRAD_RTOL = 1e-12

@@ -6,12 +6,12 @@
 #   scripts/test.sh tier2    only the tier-2 subprocess/slow suites
 #   scripts/test.sh full     everything: tier 1 + tier 2
 #   scripts/test.sh ir       tier-1 under the trace-and-replay executor
-#                            (REPRO_EXECUTOR=replay), once with the
-#                            optimizing passes on (REPRO_IR_PASSES=default)
-#                            and once with them off (REPRO_IR_PASSES=none)
-#   scripts/test.sh codegen  tier-1 under the replay executor with the
-#                            codegen backend enabled (REPRO_EXECUTOR=replay
-#                            REPRO_CODEGEN=on)
+#                            (REPRO_EXECUTOR=replay, where every validated
+#                            no_grad trace runs as a generated kernel and
+#                            gradient traces as fat-node replays), once
+#                            with the optimizing passes on
+#                            (REPRO_IR_PASSES=default) and once with them
+#                            off (REPRO_IR_PASSES=none)
 #   scripts/test.sh batching the union-grid batching suites (planner,
 #                            solve driver, solve() facade) plus the
 #                            BENCH_batching acceptance benchmark
@@ -61,10 +61,6 @@ case "$lane" in
         exec env REPRO_EXECUTOR=replay REPRO_IR_PASSES=none \
             python -m pytest -x -q "$@"
         ;;
-    codegen)
-        exec env REPRO_EXECUTOR=replay REPRO_CODEGEN=on \
-            python -m pytest -x -q "$@"
-        ;;
     adjoint)
         env REPRO_CHECKPOINT_GRADS=on \
             python -m pytest -x -q "$@"
@@ -110,7 +106,7 @@ case "$lane" in
         exec python -m pytest -x -q -m "tier2 or not tier2" "$@"
         ;;
     *)
-        echo "usage: scripts/test.sh [fast|tier2|full|ir|codegen|batching|streaming|serving|adjoint|perf] [pytest args...]" >&2
+        echo "usage: scripts/test.sh [fast|tier2|full|ir|batching|streaming|serving|adjoint|perf] [pytest args...]" >&2
         exit 2
         ;;
 esac

@@ -12,9 +12,8 @@ The package is organised around an explicit op-graph IR:
   CSE, constant folding + loop-invariant hoisting) applied to recorded
   traces at compile time (``REPRO_IR_PASSES=default|none`` /
   :func:`set_ir_passes`);
-* :mod:`~repro.autodiff.codegen` -- the codegen backend lowering
-  optimized no_grad traces to flat generated Python/numpy kernels
-  (``REPRO_CODEGEN=on|off`` / :func:`set_codegen`).
+* :mod:`~repro.autodiff.codegen` -- the codegen backend lowering every
+  validated no_grad trace to one flat generated Python/numpy kernel.
 """
 
 from .ir import (
@@ -61,7 +60,6 @@ from .codegen import (
     CodegenError,
     get_codegen,
     recent_sources,
-    set_codegen,
 )
 from .functional import (
     binary_cross_entropy_with_logits,
@@ -107,7 +105,6 @@ __all__ = [
     "recent_plans",
     "CodegenError",
     "get_codegen",
-    "set_codegen",
     "recent_sources",
     "get_trace_cache_cap",
     "set_trace_cache_cap",

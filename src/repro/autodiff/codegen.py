@@ -1,12 +1,11 @@
 """Codegen backend: lower optimized RHS traces to flat Python/numpy source.
 
-The interpreted replay loop (``CompiledGraph._run_buffered``) still pays
-per-op Python dispatch -- a tuple unpack, ref decoding and a closure call
-for each of the ~dozen body ops of a DHS right-hand side, hundreds of
-times per dopri5 solve.  Following the tinygrad/drjit trace->kernel
-model, this module takes a graph's post-pass schedule (``plan.body`` with
-CSE-remapped refs, the memoized invariant prefix, the buffer plan) and
-emits one flat, shape-specialized Python function per trace:
+Executing a trace op by op pays per-op Python dispatch -- a tuple unpack,
+ref decoding and a closure call for each of the ~dozen body ops of a DHS
+right-hand side, hundreds of times per dopri5 solve.  Following the
+tinygrad/drjit trace->kernel model, this module takes a graph's post-pass
+schedule (``plan.body`` with CSE-remapped refs and the memoized invariant
+prefix) and emits one flat, shape-specialized Python function per trace:
 
 * fused elementwise chains collapse into single numpy expressions
   (single-use float64-closed producers are inlined into their consumer);
@@ -17,68 +16,50 @@ emits one flat, shape-specialized Python function per trace:
   the graph epoch, which rebuilds the graph and its kernel;
 * non-static externals are re-read through their live ``.data`` on every
   call, preserving the replay contract for in-place parameter updates;
-* ``time_tensor`` slots become in-place ``fill`` statements on the
-  graph's persistent t buffers.
+* ``time_tensor`` slots become in-place ``fill`` statements on persistent
+  time buffers.
 
-The source is compiled once with ``compile()``/``exec`` and installed by
-the executor as a third entry state alongside replay (trace -> validate
--> codegen); the validation step bit-compares kernel output against the
-interpreted replay, so the bit-identity contract with eager execution is
-enforced per trace, not assumed.  Gradient-mode replays stay on the
-existing fat-node backward.
-
-Selected via ``REPRO_CODEGEN=on|off`` / :func:`set_codegen` (mirrored by
-``--codegen`` on the train/evaluate/profile CLIs); generated sources are
-kept in a ring buffer surfaced by ``python -m repro.cli profile``.
+The source is compiled once with ``compile()``/``exec``.  Under the replay
+executor every validated ``no_grad`` trace runs as such a kernel (trace ->
+validate -> codegen): validation bit-compares the kernel's output against
+the replayed schedule, so the bit-identity contract with eager execution
+is enforced per trace, not assumed, and a trace that cannot be lowered or
+whose kernel differs stays eager.  Gradient-mode replays keep the
+fat-node backward.  Generated sources are kept in a ring buffer surfaced
+by ``python -m repro.cli profile``.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 import numpy as np
 
-from .ir import OPS, bump_graph_epoch
+from .ir import OPS
 
 __all__ = [
     "CodegenError",
     "build_codegen",
     "get_codegen",
-    "set_codegen",
     "recent_sources",
 ]
 
-_VALID_MODES = ("on", "off")
-
-_MODE = os.environ.get("REPRO_CODEGEN", "off")
-if _MODE not in _VALID_MODES:
-    raise ValueError(
-        f"REPRO_CODEGEN must be one of {_VALID_MODES}, got {_MODE!r}")
-
 
 def get_codegen() -> str:
-    """Current codegen-backend mode: ``"on"`` or ``"off"``."""
-    return _MODE
+    """``"on"`` when the replay executor is selected, else ``"off"``.
 
-
-def set_codegen(mode: str) -> None:
-    """Enable or disable the codegen backend for no_grad replays.
-
-    Switching bumps the graph epoch so already-compiled traces are
-    rebuilt -- and re-validated -- under the new mode.
+    There is no separate switch: under the replay executor every
+    validated ``no_grad`` replay runs its generated kernel.  This read-only
+    report exists for tools that record the execution modes beside a
+    measurement, such as the environment line of ``perfbench/run.py``.
     """
-    global _MODE
-    if mode not in _VALID_MODES:
-        raise ValueError(
-            f"codegen mode must be one of {_VALID_MODES}, got {mode!r}")
-    if mode != _MODE:
-        _MODE = mode
-        bump_graph_epoch()
+    from .executors import get_executor
+
+    return "on" if get_executor() == "replay" else "off"
 
 
 class CodegenError(Exception):
-    """A trace that cannot be lowered; the executor falls back to replay."""
+    """A trace that cannot be lowered; the executor pins its key to eager."""
 
 
 def _asf(a):
@@ -150,9 +131,9 @@ def build_codegen(graph, tag: str = "") -> tuple:
     """Lower ``graph``'s optimized no_grad schedule to one flat function.
 
     Returns ``(kernel, source)``; ``kernel(t, y_data)`` evaluates the
-    trace body on raw ndarrays and returns the output ndarray, with the
-    same copy-on-escape behaviour as the interpreted replay.  Raises
-    :class:`CodegenError` when the trace cannot be lowered.
+    trace body on raw ndarrays and returns a fresh output ndarray, copied
+    when it may view persistent storage (the graph's ``_copy_output``).
+    Raises :class:`CodegenError` when the trace cannot be lowered.
     """
     ops = graph.ops
     plan = graph.plan
@@ -228,8 +209,8 @@ def build_codegen(graph, tag: str = "") -> tuple:
         return f"{fname}(({', '.join(args)}{comma}), {aname})"
 
     lines = []
-    for j, _ in graph._t_slots:
-        ns[f"t{j}"] = graph._t_bufs[j]
+    for j, shape in graph._t_slots:
+        ns[f"t{j}"] = np.empty(shape)
         lines.append(f"t{j}.fill(t)")
     for j, static in enumerate(graph.ext_static):
         if not static:
@@ -241,27 +222,31 @@ def build_codegen(graph, tag: str = "") -> tuple:
         lines.append(f"return _np.array({const(graph._prefix_vals[graph.out_slot])})")
     else:
         for i in body:
-            if i in inline or i == graph.out_slot:
+            if i in inline:
                 continue
             op = ops[i]
             spec = OPS[op.opcode]
-            if spec.emit_out is not None:
+            if i == graph.out_slot:
+                # The output is always materialised fresh (never a
+                # persistent buffer) and copied when it may view persistent
+                # storage.  Ops that are guaranteed to build a fresh float64
+                # ndarray skip the identity coercion.  It is bound in trace
+                # order because, without dead-code elimination, later ops
+                # may still read it.
+                expr = render(i)
+                if op.opcode not in _F64_FRESH:
+                    expr = f"_asf({expr})"
+                if graph._copy_output:
+                    expr = f"_np.array({expr})"
+                lines.append(f"v{i} = {expr}")
+            elif spec.emit_out is not None:
                 buffered.add(i)
                 ns[f"b{i}"] = np.empty(op.shape)
                 args = [ref_expr(kind, j) for kind, j in refs_of[i]]
                 lines.append(spec.emit_out(args, op.attrs, const, f"b{i}"))
             else:
                 lines.append(f"v{i} = _asf({render(i)})")
-        # The output is always materialised fresh (never a persistent
-        # buffer) and copied when it may view persistent storage -- same
-        # rule as the interpreted replay.  Ops that are guaranteed to
-        # build a fresh float64 ndarray skip the identity coercion.
-        out_expr = render(graph.out_slot)
-        if ops[graph.out_slot].opcode not in _F64_FRESH:
-            out_expr = f"_asf({out_expr})"
-        if graph._copy_output:
-            out_expr = f"_np.array({out_expr})"
-        lines.append(f"return {out_expr}")
+        lines.append(f"return v{graph.out_slot}")
 
     names = sorted(ns)
     unpack = ", ".join(names)

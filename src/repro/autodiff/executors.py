@@ -20,23 +20,21 @@ bumps):
    work the recorder cannot see (data-dependent masks built outside the
    Tensor API, randomness, time baked in without
    :func:`~repro.autodiff.tensor.time_tensor`) produces different values
-   and permanently falls back to eager for that key.
-3. **replay** -- subsequent calls re-execute the recorded ops directly.
-   Under ``no_grad`` the replay writes into preallocated buffers and fuses
-   adjacent elementwise ops in place; under gradients it materialises
-   fresh arrays and plants a single "replay" fat node in the outer graph
-   whose backward walks the trace in reverse with the same per-opcode
-   rules the eager executor dispatches.
-4. **codegen** (``REPRO_CODEGEN=on``, no_grad keys only) -- validation
-   additionally lowers the optimized schedule to one flat generated
-   function (:mod:`repro.autodiff.codegen`), bit-compares its output
-   against the interpreted replay, and on success installs the kernel as
-   the entry state; replays then skip the per-op dispatch loop entirely.
-   Gradient-mode keys keep the fat-node replay, so gradients stay
+   and permanently falls back to eager for that key.  A ``no_grad`` key
+   that passes is then lowered to one flat generated function
+   (:mod:`repro.autodiff.codegen`) whose output is bit-compared against
+   the replayed one; a trace that cannot be lowered, or whose kernel
+   differs, is pinned to eager the same way.
+3. **codegen** (``no_grad`` keys) -- subsequent calls run the generated
+   kernel, with no per-op dispatch and no Tensor front-end.
+4. **ready** (gradient keys) -- subsequent calls re-execute the recorded
+   ops on fresh arrays and plant a single "replay" fat node in the outer
+   graph whose backward walks the trace in reverse with the same
+   per-opcode rules the eager executor dispatches, so gradients stay
    bit-identical to eager.
 
 ``REPRO_CHECKPOINT_GRADS=on`` (:func:`set_checkpoint_grads`) switches the
-grad-mode replays of step 3 to **checkpointed frames**: the fat node keeps
+grad-mode replays of step 4 to **checkpointed frames**: the fat node keeps
 only the step inputs (t, y, non-static externals' data versions) and the
 backward walk re-runs the forward schedule to rebuild intermediates.
 Traces are cheap to re-execute, so this trades one extra forward per step
@@ -68,7 +66,7 @@ from .ir import (
     next_node_id,
     set_recorder,
 )
-from .codegen import CodegenError, build_codegen, get_codegen
+from .codegen import CodegenError, build_codegen
 from .passes import log_plan, plan_trace
 from .tensor import Tensor, is_grad_enabled
 from . import tensor as _tensor
@@ -291,14 +289,10 @@ class CompiledGraph:
         self.diff_externals = tuple(self.externals[j]
                                     for j in self.diff_ext_idx)
 
-        # Persistent fill buffers for time slots (no_grad replays only;
-        # gradient replays need fresh arrays because backward frames keep
-        # references past the call).
         self._t_slots = [(j, shape) for j, (kind, shape, _) in
                          enumerate(self.inputs) if kind == "t"]
         self._y_slots = [j for j, (kind, _, _) in enumerate(self.inputs)
                          if kind == "y"]
-        self._t_bufs = {j: np.empty(shape) for j, shape in self._t_slots}
 
         # Optimizing passes (DCE / CSE / invariant hoisting): compute the
         # execution schedule once; the invariant prefix is materialised
@@ -308,7 +302,6 @@ class CompiledGraph:
         self.out_slot = self.plan.out_slot
         self._prefix_vals: dict[int, np.ndarray] = {}
         self._prefix_ready = False
-        self._vals_primed = False
         self._out_in_prefix = self.out_slot in set(self.plan.prefix)
         stats = self.plan.stats
         reg = _registry()
@@ -318,17 +311,16 @@ class CompiledGraph:
             reg.inc("ir.hoisted_ops", stats.hoisted)
         log_plan("grad" if grad_mode else "no_grad", stats)
 
-        self._build_nograd_plan()
-        self._codegen_fn = None
-        self._codegen_src = None
+        self._plan_outputs()
+        #: Generated ``no_grad`` kernel, installed by validation.
+        self.kernel = None
 
     # -- compile-time planning -----------------------------------------
-    def _build_nograd_plan(self) -> None:
-        """Buffer/fusion schedule for the per-call body of the trace.
+    def _plan_outputs(self) -> None:
+        """Output-copy rules and grad-frame sizes for the per-call body.
 
-        Runs over ``plan.body`` with the pass-remapped refs: dead and
-        CSE-merged ops never get steps, and refs into the invariant prefix
-        read the memoized prefix arrays through the shared value table.
+        Runs over ``plan.body`` with the pass-remapped refs, so refs into
+        the invariant prefix read the memoized prefix arrays.
         """
         ops = self.ops
         plan = self.plan
@@ -338,78 +330,31 @@ class CompiledGraph:
         in_prefix = [False] * n
         for i in plan.prefix:
             in_prefix[i] = True
-        last_use = [-1] * n
+        # A view's output may alias storage that outlives the call: an
+        # input slot, an external's live ``.data``, a memoized prefix
+        # array, or -- for the generated kernel -- the persistent buffer
+        # it keeps for every ``emit_out`` op but the output's.
+        kernel_buf = [False] * n
+        aliases = [False] * n        # the generated no_grad kernel
+        galiases = [False] * n       # grad replays: fresh body arrays
         for i in body:
-            for kind, j in refs_of[i]:
-                if kind == "buf":
-                    last_use[j] = i
-
-        buffers: dict[int, np.ndarray] = {}
-        fused = 0
-        aliases = [False] * n        # output may alias persistent storage
-        galiases = [False] * n       # same analysis for the grad executor:
-        for i in body:               # fresh body arrays, memoized prefix
             op = ops[i]
-            spec = OPS[op.opcode]
             if op.opcode in _VIEW_OPCODES:
                 kind, j = refs_of[i][0]
-                aliases[i] = (True if kind != "buf"
-                              else in_prefix[j] or (j in buffers) or aliases[j])
-                galiases[i] = (True if kind != "buf"
-                               else in_prefix[j] or galiases[j])
-            if spec.run_out is None or i == self.out_slot:
-                continue
-            # In-place fusion: write into a dying same-shape elementwise
-            # input buffer instead of allocating another one.  Prefix
-            # buffers are never candidates (they are not in ``buffers``),
-            # so memoized values cannot be clobbered.
-            target = None
-            if spec.elementwise:
-                for kind, j in refs_of[i]:
-                    if (kind == "buf" and j in buffers
-                            and last_use[j] == i and ops[j].shape == op.shape):
-                        target = buffers[j]
-                        fused += 1
-                        break
-            buffers[i] = np.empty(op.shape) if target is None else target
-        self._buffers = buffers
-        self._fused = fused
-        self._prealloc_bytes = int(sum(
-            buffers[i].nbytes for i in buffers
-            if not any(buffers[i] is buffers[j] for j in buffers if j < i)))
-        # An output living in (or viewing) the invariant prefix must be
-        # copied out: the caller may hold it across replays and must never
-        # share storage with the memoized arrays.
+                persistent = kind != "buf" or in_prefix[j]
+                aliases[i] = persistent or kernel_buf[j] or aliases[j]
+                galiases[i] = persistent or galiases[j]
+            kernel_buf[i] = (i != self.out_slot
+                             and OPS[op.opcode].emit_out is not None)
+        # An output living in (or viewing) such storage must be copied
+        # out: the caller may hold it across replays and must never share
+        # storage with the kernel's buffers or the memoized arrays, and
+        # mutating it must not corrupt later replays.
         self._copy_output = ((self._out_in_prefix or aliases[self.out_slot])
                              if n else False)
-        # Grad replays use fresh body arrays, but a trace ending in a view
-        # chain rooted at the memoized prefix, an external's live ``.data``
-        # or an input slot would still hand the caller a live view; apply
-        # the same alias rule so mutation cannot corrupt later replays.
         self._copy_grad_output = ((self._out_in_prefix
                                    or galiases[self.out_slot])
                                   if n else False)
-        self._vals: list = [None] * n
-        # Flat step plan for the replay hot loop: everything per-op
-        # (dispatch-table lookups, buffer assignment, ref decoding) is
-        # resolved at compile time, so a replayed call is one tuple unpack
-        # and one indexing chain per op.  Refs are coded as indices into
-        # the (vals, inarrs, ext_vals) source triple.
-        code = {"buf": 0, "in": 1, "ext": 2}
-        self._steps = []
-        for i in body:
-            op = ops[i]
-            spec = OPS[op.opcode]
-            buf = buffers.get(i)
-            coded = tuple((code[kind], j) for kind, j in refs_of[i])
-            self._steps.append(
-                (i, coded, op.attrs, spec.forward,
-                 spec.run_out if buf is not None else None, buf))
-        # Reusable input-slot list: time buffers are installed once and
-        # refilled in place; y slots are overwritten per call.
-        self._inarrs: list = [None] * len(self.inputs)
-        for j, _ in self._t_slots:
-            self._inarrs[j] = self._t_bufs[j]
         # Frame storage accounting for grad replays: a full frame retains
         # the step input y, every non-view body intermediate and the fresh
         # time buffers; a checkpointed frame retains only the step input
@@ -438,8 +383,8 @@ class CompiledGraph:
 
         Prefix ops read only static externals (and each other), so the
         results hold for the lifetime of this graph -- i.e. until the next
-        graph-epoch bump rebuilds it.  Both the buffered ``no_grad`` path
-        and the fresh-array grad path start from this cached frontier.
+        graph-epoch bump rebuilds it.  The generated kernel bakes these
+        arrays in, and grad replays start from this cached frontier.
         """
         plan = self.plan
         pv = self._prefix_vals
@@ -485,86 +430,23 @@ class CompiledGraph:
             vals[dup] = vals[rep]
         return vals
 
-    def _run_buffered(self, inarrs) -> np.ndarray:
-        vals = self._vals
-        if not self._vals_primed:
-            if not self._prefix_ready:
-                self._eval_prefix()
-            for i, arr in self._prefix_vals.items():
-                vals[i] = arr
-            self._vals_primed = True
-        asarray = np.asarray
-        src = (vals, inarrs, [e.data for e in self.externals])
-        for i, refs, attrs, forward, run_out, buf in self._steps:
-            ins = tuple([src[c][j] for c, j in refs])
-            if buf is None:
-                vals[i] = asarray(forward(ins, attrs), dtype=np.float64)
-            else:
-                vals[i] = run_out(ins, attrs, buf)
-        out = vals[self.out_slot]
-        if self._copy_output:
-            out = np.array(out)
-        return out
-
-    def fill_inputs(self, t: float, y_data: np.ndarray, fresh: bool):
+    def fill_inputs(self, t: float, y_data: np.ndarray) -> list:
+        """Fresh input-slot arrays for one call: ``y`` and time fills."""
         inarrs: list = [None] * len(self.inputs)
         for j in self._y_slots:
             inarrs[j] = y_data
-        if fresh:
-            for j, shape in self._t_slots:
-                inarrs[j] = np.full(shape, float(t))
-        else:
-            for j, _ in self._t_slots:
-                buf = self._t_bufs[j]
-                buf.fill(float(t))
-                inarrs[j] = buf
+        for j, shape in self._t_slots:
+            inarrs[j] = np.full(shape, float(t))
         return inarrs
 
-    def replay_nograd(self, t: float, y: Tensor) -> Tensor:
-        inarrs = self._inarrs
-        for j in self._y_slots:
-            inarrs[j] = y.data
-        ft = float(t)
-        for j, _ in self._t_slots:
-            self._t_bufs[j].fill(ft)
-        data = self._run_buffered(inarrs)
-        reg = _registry()
-        if reg.enabled:
-            reg.inc("ir.fused_ops", self._fused)
-            reg.inc("ir.bytes_reused", self._prealloc_bytes)
-        profiler = _tensor._PROFILER
-        if profiler is not None:
-            profiler._record_replay(len(self._steps))
-        # fast-path Tensor construction: data is already a float64 ndarray
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        out.requires_grad = False
-        out._node = None
-        out.name = ""
-        out.static = False
-        return out
-
-    def try_codegen(self, tag: str = ""):
-        """Build this graph's generated kernel (``None`` when lowering
-        fails; the caller stays on the interpreted replay)."""
-        if self._codegen_fn is None:
-            try:
-                self._codegen_fn, self._codegen_src = build_codegen(self, tag)
-            except CodegenError:
-                _inc("ir.codegen_fallbacks")
-                return None
-            _inc("ir.codegen_builds")
-        return self._codegen_fn
-
     def replay_codegen(self, t: float, y: Tensor) -> Tensor:
-        data = self._codegen_fn(float(t), y.data)
+        data = self.kernel(float(t), y.data)
         reg = _registry()
         if reg.enabled:
             reg.inc("ir.codegen_calls")
         profiler = _tensor._PROFILER
         if profiler is not None:
-            profiler._record_replay(len(self.plan.body), codegen=True)
+            profiler._record_replay(len(self.plan.body))
         # fast-path Tensor construction: data is already a float64 ndarray
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -576,7 +458,7 @@ class CompiledGraph:
         return out
 
     def replay_grad(self, t: float, y: Tensor) -> Tensor:
-        inarrs = self.fill_inputs(t, y.data, fresh=True)
+        inarrs = self.fill_inputs(t, y.data)
         vals = self.run_values(inarrs)
         data = vals[self.out_buf]
         if self._copy_grad_output:
@@ -633,7 +515,7 @@ class CompiledGraph:
                         "recompute would not match the recorded forward; "
                         "rebind parameters only after backward, or "
                         "set_checkpoint_grads('off')")
-            inarrs = self.fill_inputs(frame.t, ins[0], fresh=True)
+            inarrs = self.fill_inputs(frame.t, ins[0])
             vals = self.run_values(inarrs)
             _inc("ir.ckpt_recomputes")
             _inc("ir.ckpt_recomputed_ops", len(self.plan.body))
@@ -752,14 +634,12 @@ class CompiledFunction:
             return self._trace(key, t, y)
         self.entries.move_to_end(key)
         state, graph = entry
-        if state == "ready":
-            _inc("ir.replay_hits")
-            if graph.grad_mode:
-                return graph.replay_grad(t, y)
-            return graph.replay_nograd(t, y)
         if state == "codegen":
             _inc("ir.replay_hits")
             return graph.replay_codegen(t, y)
+        if state == "ready":
+            _inc("ir.replay_hits")
+            return graph.replay_grad(t, y)
         if state == "validate":
             return self._validate(key, graph, t, y)
         return self.func(t, y)          # pinned to eager for this key
@@ -793,28 +673,33 @@ class CompiledFunction:
         # run_values goes through the optimized schedule, so the bit-compare
         # also vets the pass pipeline's rewrite of this trace.
         replayed = graph.run_values(
-            graph.fill_inputs(t, y.data, fresh=True))[graph.out_buf]
-        if isinstance(out, Tensor) and out.data.shape == replayed.shape \
-                and np.array_equal(out.data, replayed):
-            state = "ready"
-            if get_codegen() == "on" and not graph.grad_mode \
-                    and graph.try_codegen(self._tag()) is not None:
-                generated = graph._codegen_fn(float(t), y.data)
-                if generated.shape == replayed.shape \
-                        and np.array_equal(generated, replayed):
-                    state = "codegen"
-                else:
-                    # Lowering produced different bits; drop the kernel
-                    # and stay on the interpreted replay for this graph.
-                    graph._codegen_fn = None
-                    _inc("ir.codegen_fallbacks")
-            self._store(key, (state, graph))
-        else:
+            graph.fill_inputs(t, y.data))[graph.out_buf]
+        if not (isinstance(out, Tensor)
+                and np.array_equal(out.data, replayed)):
             # The function does work the recorder cannot see (raw-numpy
             # masks, randomness, time baked in as a constant); stay eager.
             self._store(key, ("eager", "validation mismatch"))
             _inc("ir.validation_failures")
+        elif graph.grad_mode:
+            self._store(key, ("ready", graph))
+        else:
+            self._store(key, self._lower(graph, t, y.data, replayed))
         return out
+
+    def _lower(self, graph, t, y_data, replayed) -> tuple:
+        """Entry for a validated ``no_grad`` graph: its generated kernel if
+        that reproduces the replayed output bit for bit, else eager."""
+        try:
+            kernel, _ = build_codegen(graph, self._tag())
+        except CodegenError:
+            _inc("ir.codegen_fallbacks")
+            return ("eager", "codegen lowering failed")
+        _inc("ir.codegen_builds")
+        if not np.array_equal(kernel(float(t), y_data), replayed):
+            _inc("ir.codegen_fallbacks")
+            return ("eager", "codegen kernel mismatch")
+        graph.kernel = kernel
+        return ("codegen", graph)
 
 
 _COMPILED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -112,17 +112,14 @@ def set_recorder(recorder: "TraceRecorder | None") -> None:
 class OpSpec:
     """One primitive: forward + backward rules and replay metadata.
 
-    ``run_out`` (optional) evaluates the forward rule into a caller-owned
-    buffer (``np.ufunc(..., out=)``); ops that provide it can reuse
-    preallocated output buffers during replay.  ``elementwise`` marks ops
-    whose output may safely alias a same-shape input (in-place fusion
-    candidates).  ``differentiable=False`` ops (comparisons, constant-max)
-    never create tape nodes but are still recorded in traces so replay can
-    recompute them from live inputs.
+    ``differentiable=False`` ops (comparisons, constant-max) never create
+    tape nodes but are still recorded in traces so replay can recompute
+    them from live inputs.
 
     ``emit`` / ``emit_out`` (optional) are the codegen render rules: they
-    return Python source replicating ``forward`` / ``run_out`` exactly, so
-    a generated kernel stays bit-identical to the interpreted replay (see
+    return Python source replicating ``forward`` exactly, as an
+    expression or as a statement writing into a preallocated buffer, so a
+    generated kernel stays bit-identical to the replayed schedule (see
     :mod:`repro.autodiff.codegen`).  Ops without render rules fall back to
     a closure call on ``forward`` in the generated source.
     """
@@ -130,8 +127,6 @@ class OpSpec:
     opcode: str
     forward: Callable[[tuple, dict | None], np.ndarray] | None
     backward: Callable[..., Sequence[np.ndarray | None]] | None
-    run_out: Callable[[tuple, dict | None, np.ndarray], np.ndarray] | None = None
-    elementwise: bool = False
     differentiable: bool = True
     emit: Callable[..., str] | None = None
     emit_out: Callable[..., str] | None = None
@@ -140,12 +135,11 @@ class OpSpec:
 OPS: dict[str, OpSpec] = {}
 
 
-def register_op(opcode: str, forward, backward, *, run_out=None,
-                elementwise: bool = False, differentiable: bool = True) -> OpSpec:
+def register_op(opcode: str, forward, backward, *,
+                differentiable: bool = True) -> OpSpec:
     if opcode in OPS:
         raise ValueError(f"opcode {opcode!r} already registered")
-    spec = OpSpec(opcode, forward, backward, run_out, elementwise,
-                  differentiable)
+    spec = OpSpec(opcode, forward, backward, differentiable)
     OPS[opcode] = spec
     return spec
 
@@ -363,27 +357,13 @@ def _bw_matmul(g, ins, out, at, needs):
     return (ga, gb)
 
 
-register_op("add", lambda ins, at: ins[0] + ins[1], _bw_add,
-            run_out=lambda ins, at, out: np.add(ins[0], ins[1], out=out),
-            elementwise=True)
-register_op("sub", lambda ins, at: ins[0] - ins[1], _bw_sub,
-            run_out=lambda ins, at, out: np.subtract(ins[0], ins[1], out=out),
-            elementwise=True)
-register_op("mul", lambda ins, at: ins[0] * ins[1], _bw_mul,
-            run_out=lambda ins, at, out: np.multiply(ins[0], ins[1], out=out),
-            elementwise=True)
-register_op("div", lambda ins, at: ins[0] / ins[1], _bw_div,
-            run_out=lambda ins, at, out: np.divide(ins[0], ins[1], out=out),
-            elementwise=True)
-register_op("neg", lambda ins, at: -ins[0], _bw_neg,
-            run_out=lambda ins, at, out: np.negative(ins[0], out=out),
-            elementwise=True)
-register_op("pow", lambda ins, at: ins[0] ** at["exponent"], _bw_pow,
-            run_out=lambda ins, at, out: np.power(ins[0], at["exponent"],
-                                                  out=out),
-            elementwise=True)
-register_op("matmul", lambda ins, at: ins[0] @ ins[1], _bw_matmul,
-            run_out=lambda ins, at, out: np.matmul(ins[0], ins[1], out=out))
+register_op("add", lambda ins, at: ins[0] + ins[1], _bw_add)
+register_op("sub", lambda ins, at: ins[0] - ins[1], _bw_sub)
+register_op("mul", lambda ins, at: ins[0] * ins[1], _bw_mul)
+register_op("div", lambda ins, at: ins[0] / ins[1], _bw_div)
+register_op("neg", lambda ins, at: -ins[0], _bw_neg)
+register_op("pow", lambda ins, at: ins[0] ** at["exponent"], _bw_pow)
+register_op("matmul", lambda ins, at: ins[0] @ ins[1], _bw_matmul)
 
 # comparisons: non-differentiable, but recorded so replay recomputes the
 # mask from live inputs instead of baking a stale constant into the trace
@@ -534,51 +514,30 @@ def _fw_softplus(ins, at):
 
 
 register_op("exp", lambda ins, at: np.exp(ins[0]),
-            lambda g, ins, out, at, needs: (g * out,),
-            run_out=lambda ins, at, out: np.exp(ins[0], out=out),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (g * out,))
 register_op("log", lambda ins, at: np.log(ins[0]),
-            lambda g, ins, out, at, needs: (g / ins[0],),
-            run_out=lambda ins, at, out: np.log(ins[0], out=out),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (g / ins[0],))
 register_op("sqrt", lambda ins, at: np.sqrt(ins[0]),
-            lambda g, ins, out, at, needs: (g * 0.5 / out,),
-            run_out=lambda ins, at, out: np.sqrt(ins[0], out=out),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (g * 0.5 / out,))
 register_op("tanh", lambda ins, at: np.tanh(ins[0]),
-            lambda g, ins, out, at, needs: (g * (1.0 - out ** 2),),
-            run_out=lambda ins, at, out: np.tanh(ins[0], out=out),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (g * (1.0 - out ** 2),))
 register_op("sigmoid", _fw_sigmoid,
-            lambda g, ins, out, at, needs: (g * out * (1.0 - out),),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (g * out * (1.0 - out),))
 register_op("relu", lambda ins, at: np.maximum(ins[0], 0.0),
             lambda g, ins, out, at, needs: (
-                g * (ins[0] > 0).astype(np.float64),),
-            run_out=lambda ins, at, out: np.maximum(ins[0], 0.0, out=out),
-            elementwise=True)
+                g * (ins[0] > 0).astype(np.float64),))
 register_op("softplus", _fw_softplus,
-            lambda g, ins, out, at, needs: (g * _fw_sigmoid(ins, at),),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (g * _fw_sigmoid(ins, at),))
 register_op("abs", lambda ins, at: np.abs(ins[0]),
-            lambda g, ins, out, at, needs: (g * np.sign(ins[0]),),
-            run_out=lambda ins, at, out: np.abs(ins[0], out=out),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (g * np.sign(ins[0]),))
 register_op("clip", lambda ins, at: np.clip(ins[0], at["lo"], at["hi"]),
             lambda g, ins, out, at, needs: (
                 g * ((ins[0] >= at["lo"]) & (ins[0] <= at["hi"])
-                     ).astype(np.float64),),
-            run_out=lambda ins, at, out: np.clip(ins[0], at["lo"], at["hi"],
-                                                 out=out),
-            elementwise=True)
+                     ).astype(np.float64),))
 register_op("sin", lambda ins, at: np.sin(ins[0]),
-            lambda g, ins, out, at, needs: (g * np.cos(ins[0]),),
-            run_out=lambda ins, at, out: np.sin(ins[0], out=out),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (g * np.cos(ins[0]),))
 register_op("cos", lambda ins, at: np.cos(ins[0]),
-            lambda g, ins, out, at, needs: (-g * np.sin(ins[0]),),
-            run_out=lambda ins, at, out: np.cos(ins[0], out=out),
-            elementwise=True)
+            lambda g, ins, out, at, needs: (-g * np.sin(ins[0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +742,7 @@ register_op("replay", None,
 # attrs are baked by object identity rather than re-parsed from reprs.
 # Every rule must replicate the forward rule's numpy call sequence
 # exactly: the validation step bit-compares kernel output against the
-# interpreted replay.  Helper names (``_np``, ``_add``, ``_whr``, ...)
+# replayed schedule, and a kernel that differs pins its trace to eager.  Helper names (``_np``, ``_add``, ``_whr``, ...)
 # are provided by the codegen base namespace (``codegen._BASE_NS``).
 
 def _emit_transpose(a, at, c):
@@ -839,7 +798,7 @@ _EMIT_RULES = {
                 f"(1.0 / (1.0 + _exp(-_clip({a[0]}, -60.0, 60.0))))",
                 None),
     "relu": (lambda a, at, c: f"_maxu({a[0]}, 0.0)",
-             lambda a, at, c, o: f"_maxu({a[0]}, 0.0, {o})"),
+             lambda a, at, c, o: f"_maxu({a[0]}, 0.0, out={o})"),
     "softplus": (lambda a, at, c:
                  f"(_maxu({a[0]}, 0.0) + _log1p(_exp(-_abs({a[0]}))))",
                  None),

@@ -22,8 +22,8 @@ trace-compile time, which ops can be skipped (:func:`plan_trace`):
    per-step body.  The executor runs the prefix once per graph epoch and
    memoizes its buffers; every subsequent replay -- ``no_grad`` and
    grad-mode alike -- starts from the cached frontier.
-4. The executor then re-runs its elementwise-fusion pass on the shrunk
-   body (see ``CompiledGraph._build_nograd_plan``).
+4. The codegen backend then lowers the shrunk body of a ``no_grad``
+   trace to one generated kernel (see :mod:`repro.autodiff.codegen`).
 
 Bit-identity contract
 ---------------------

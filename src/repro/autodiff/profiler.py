@@ -69,7 +69,6 @@ class TapeProfiler:
         self.backward_passes = 0
         self.replays = 0
         self.replayed_ops = 0
-        self.codegen_replays = 0
         self._last_ts = time.perf_counter()
 
     # -- hooks called from the tape (profiler active only) --------------
@@ -109,18 +108,17 @@ class TapeProfiler:
         self.backward_passes += 1
         self._last_ts = time.perf_counter()
 
-    def _record_replay(self, n_ops: int, codegen: bool = False) -> None:
+    def _record_replay(self, n_ops: int) -> None:
         """One compiled-trace replay executed ``n_ops`` body ops.
 
-        Replays bypass ``tensor.apply`` so they are counted in aggregate
-        here rather than per opcode; resetting the attribution clock keeps
-        replay wall time from being charged to the next eager node.
-        ``codegen=True`` marks replays served by a generated kernel.
+        Replays (generated kernels for ``no_grad`` keys, fat-node replays
+        for gradient keys) bypass ``tensor.apply`` so they are counted in
+        aggregate here rather than per opcode; resetting the attribution
+        clock keeps replay wall time from being charged to the next eager
+        node.
         """
         self.replays += 1
         self.replayed_ops += n_ops
-        if codegen:
-            self.codegen_replays += 1
         self._last_ts = time.perf_counter()
 
     # -- reporting -------------------------------------------------------
@@ -145,7 +143,6 @@ class TapeProfiler:
             "backward_passes": self.backward_passes,
             "replays": self.replays,
             "replayed_ops": self.replayed_ops,
-            "codegen_replays": self.codegen_replays,
             "ops": {op: rec.as_dict() for op, rec in sorted(self.ops.items())},
         }
 

@@ -1,5 +1,5 @@
 """Benchmark targets: ``python -m repro.benchmarks
-[solver|parallel|ir|passes|codegen|batching|memory|streaming|serving]``.
+[solver|parallel|ir|passes|batching|memory|streaming|serving]``.
 
 ``solver`` (the default) runs a representative dopri5 workload (a batch of
 decays whose rates span two orders of magnitude, read out on an irregular
@@ -19,16 +19,11 @@ parallelism (needs real cores); ``cpu_count`` records which regime the
 numbers were taken in.
 
 ``ir`` times a neural-network right-hand side under the eager executor
-and under trace-and-replay (``BENCH_ir.json``): a direct RHS
-microbenchmark (per-call wall time and speedup), plus a full dopri5
-solve per executor with the ``ir.*`` trace-cache counters (builds, hits,
-misses, hit rate) and a bit-compare of the two solutions.
-
-``codegen`` measures the codegen backend on the ``ir`` workload
-(``BENCH_codegen.json``): per-call RHS wall time and NFE-normalized
-dopri5 solve time under eager, interpreted replay and generated kernels
-(``REPRO_CODEGEN=on``), with bit-compares of the solutions against eager
-and of the fat-node gradients (codegen never touches the grad path).
+and under trace-and-replay (``BENCH_ir.json``), whose ``no_grad`` calls
+run the generated kernel: a direct RHS microbenchmark (per-call wall
+time and speedup), plus a full dopri5 solve per executor with the
+``ir.*`` trace-cache counters (builds, hits, misses, hit rate) and a
+bit-compare of the two solutions.
 
 ``batching`` compares union-grid batched solves against the per-shard
 padded baseline (``BENCH_batching.json``) on PhysioNet- and LargeST-like
@@ -86,6 +81,7 @@ gradient error against its tolerance band.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import pathlib
@@ -99,9 +95,9 @@ from .odeint import SolverOptions, solve
 
 __all__ = ["solver_workload", "run_current_solver", "run_seed_emulation",
            "run", "parallel_workload", "run_parallel", "ir_workload",
-           "run_ir", "passes_workload", "run_passes", "run_codegen",
-           "batching_workloads", "run_batching", "run_memory",
-           "run_streaming", "run_serving", "main"]
+           "run_ir", "passes_workload", "run_passes", "batching_workloads",
+           "run_batching", "run_memory", "run_streaming", "run_serving",
+           "main"]
 
 RTOL, ATOL = 1e-5, 1e-7
 
@@ -298,6 +294,28 @@ def run_parallel(out_path: str | pathlib.Path = "BENCH_parallel.json",
     return payload
 
 
+@contextlib.contextmanager
+def _modes(executor: str, ir_passes: str | None = None,
+           checkpoint_grads: str | None = None):
+    """Run the block under the given execution modes, then restore the
+    caller's: a benchmark leaves the process's settings as it found them."""
+    from .autodiff import (get_checkpoint_grads, get_executor, get_ir_passes,
+                           set_checkpoint_grads, set_executor, set_ir_passes)
+
+    prev = get_executor(), get_ir_passes(), get_checkpoint_grads()
+    set_executor(executor)
+    try:
+        if ir_passes is not None:
+            set_ir_passes(ir_passes)
+        if checkpoint_grads is not None:
+            set_checkpoint_grads(checkpoint_grads)
+        yield
+    finally:
+        set_executor(prev[0])
+        set_ir_passes(prev[1])
+        set_checkpoint_grads(prev[2])
+
+
 def ir_workload(batch: int = 16, hidden: int = 16, seed: int = 3):
     """Two-hidden-layer MLP dynamics at DIFFODE-scale widths: the regime
     where per-op Python dispatch, not numpy compute, dominates the RHS --
@@ -336,17 +354,15 @@ def _time_rhs_calls(fn, y, calls: int, repeats: int = 9) -> float:
 def _solve_ir(mode: str):
     """One no_grad dopri5 solve of the ir workload under ``mode``; returns
     (solution array, nfev, seconds, ir.* counter snapshot)."""
-    from .autodiff import set_executor
     from .telemetry import get_registry
 
     rhs, y0 = ir_workload()
     times = np.linspace(0.0, 2.0, 9)
     reg = get_registry()
-    set_executor(mode)
     reg.reset()
     reg.enable()
     try:
-        with no_grad():
+        with _modes(mode), no_grad():
             start = time.perf_counter()
             solution = solve(rhs, Tensor(y0), times, method="dopri5",
                              options=SolverOptions(rtol=RTOL, atol=ATOL))
@@ -357,13 +373,12 @@ def _solve_ir(mode: str):
     finally:
         reg.disable()
         reg.reset()
-        set_executor("eager")
     return sol.data.copy(), stats.nfev, elapsed, counters
 
 
 def run_ir(out_path: str | pathlib.Path = "BENCH_ir.json",
            calls: int = 300) -> dict:
-    from .autodiff import CompiledFunction, set_executor
+    from .autodiff import CompiledFunction
 
     # -- RHS microbenchmark: eager vs warmed replay --------------------
     rhs, y0 = ir_workload()
@@ -371,14 +386,11 @@ def run_ir(out_path: str | pathlib.Path = "BENCH_ir.json",
     eager_s = _time_rhs_calls(rhs, y, calls)
 
     compiled = CompiledFunction(rhs)
-    set_executor("replay")
-    try:
+    with _modes("replay"):
         with no_grad():
             compiled(0.5, y)        # trace
-            compiled(0.5, y)        # validate
+            compiled(0.5, y)        # validate, lower to the kernel
         replay_s = _time_rhs_calls(compiled, y, calls)
-    finally:
-        set_executor("eager")
 
     # -- full dopri5 solve per executor with trace-cache counters ------
     sol_eager, nfev, eager_solve_s, _ = _solve_ir("eager")
@@ -407,10 +419,6 @@ def run_ir(out_path: str | pathlib.Path = "BENCH_ir.json",
             "replay_hits": hits,
             "replay_misses": misses,
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "fused_ops_per_replay": (
-                counters.get("ir.fused_ops", 0.0) / hits if hits else 0.0),
-            "bytes_reused_per_replay": (
-                counters.get("ir.bytes_reused", 0.0) / hits if hits else 0.0),
         },
     }
     path = pathlib.Path(out_path)
@@ -436,180 +444,6 @@ def _main_ir(out: str) -> int:
           f"{cache['replay_hits']:.0f} hits / "
           f"{cache['replay_misses']:.0f} misses "
           f"(hit rate {cache['hit_rate']:.1%})")
-    print(f"  wrote {out}")
-    return 0
-
-
-def _codegen_grad_workload(batch: int = 16, hidden: int = 16, seed: int = 3):
-    """The ir workload with trainable weights, for the gradient
-    bit-compare: codegen must leave the fat-node backward untouched."""
-    from .autodiff import time_tensor
-
-    rng = np.random.default_rng(seed)
-    w1 = Tensor(rng.standard_normal((hidden, hidden)) * 0.2,
-                requires_grad=True, name="w1")
-    b1 = Tensor(rng.standard_normal((1, hidden)) * 0.1,
-                requires_grad=True, name="b1")
-    w2 = Tensor(rng.standard_normal((hidden, hidden)) * 0.2,
-                requires_grad=True, name="w2")
-    b2 = Tensor(rng.standard_normal((1, hidden)) * 0.1,
-                requires_grad=True, name="b2")
-    w3 = Tensor(rng.standard_normal((hidden, hidden)) * 0.2,
-                requires_grad=True, name="w3")
-
-    def rhs(t, y):
-        tt = time_tensor(t, (batch, 1))
-        h = (y @ w1 + b1 + tt).tanh()
-        h = (h @ w2 + b2).tanh()
-        return h @ w3 - y * 0.5
-
-    y0 = rng.standard_normal((batch, hidden)) * 0.3
-    params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2, "w3": w3}
-    return rhs, y0, params
-
-
-def _codegen_grads(use_replay: bool) -> dict:
-    """Gradients of ``sum(rhs(0.5, y))`` -- eager tape, or the fat-node
-    replay with the codegen backend switched on."""
-    from .autodiff import (CompiledFunction, get_codegen, set_codegen,
-                           set_executor)
-
-    rhs, y0, params = _codegen_grad_workload()
-    y = Tensor(y0, requires_grad=True, name="y")
-    if not use_replay:
-        out = rhs(0.5, y)
-        out.backward(np.ones_like(out.data))
-    else:
-        compiled = CompiledFunction(rhs)
-        prev = get_codegen()
-        set_executor("replay")
-        set_codegen("on")
-        try:
-            compiled(0.5, y)            # trace
-            compiled(0.5, y)            # validate
-            out = compiled(0.5, y)      # fat-node replay (grad-mode key)
-            out.backward(np.ones_like(out.data))
-        finally:
-            set_executor("eager")
-            set_codegen(prev)
-    grads = {"y": np.array(y.grad, copy=True)}
-    for name, p in params.items():
-        grads[name] = np.array(p.grad, copy=True)
-    return grads
-
-
-def run_codegen(out_path: str | pathlib.Path = "BENCH_codegen.json",
-                calls: int = 300) -> dict:
-    from .autodiff import (CompiledFunction, get_codegen, set_codegen,
-                           set_executor)
-
-    # -- RHS microbenchmark: eager vs interpreted replay vs codegen ----
-    rhs, y0 = ir_workload()
-    y = Tensor(y0)
-    eager_us = _time_rhs_calls(rhs, y, calls) * 1e6
-
-    prev = get_codegen()
-    rhs_us = {}
-    states = {}
-    for cg_mode in ("off", "on"):
-        compiled = CompiledFunction(rhs)
-        set_executor("replay")
-        set_codegen(cg_mode)
-        try:
-            with no_grad():
-                compiled(0.5, y)        # trace
-                compiled(0.5, y)        # validate (+ kernel bit-compare)
-            rhs_us[cg_mode] = _time_rhs_calls(compiled, y, calls) * 1e6
-            (state, _), = compiled.entries.values()
-            states[cg_mode] = state
-        finally:
-            set_executor("eager")
-            set_codegen(prev)
-
-    # -- full dopri5 solve per backend, NFE-normalized -----------------
-    sol_eager, nfev_eager, eager_s, _ = _solve_ir("eager")
-    sol_replay, nfev_replay, replay_s, _ = _solve_ir("replay")
-    set_codegen("on")
-    try:
-        sol_cg, nfev_cg, cg_s, counters = _solve_ir("replay")
-    finally:
-        set_codegen(prev)
-    replay_per_nfe = replay_s / nfev_replay
-    cg_per_nfe = cg_s / nfev_cg
-
-    # -- gradient bit-identity: codegen on must not change grads -------
-    g_eager = _codegen_grads(use_replay=False)
-    g_cg = _codegen_grads(use_replay=True)
-    grad_diff = max(float(np.abs(g_eager[k] - g_cg[k]).max())
-                    for k in g_eager)
-    grad_bit_identical = all(np.array_equal(g_eager[k], g_cg[k])
-                             for k in g_eager)
-
-    payload = {
-        "workload": ("batch-16 hidden-16 two-layer MLP dynamics, "
-                     "9 readouts over t in [0, 2]"),
-        "rhs_calls": calls,
-        "rhs": {
-            "eager_us": eager_us,
-            "replay_us": rhs_us["off"],
-            "codegen_us": rhs_us["on"],
-            "codegen_vs_replay": rhs_us["off"] / rhs_us["on"],
-            "codegen_vs_eager": eager_us / rhs_us["on"],
-            "entry_states": states,
-        },
-        "solve": {
-            "nfev": nfev_eager,
-            "nfev_replay": nfev_replay,
-            "nfev_codegen": nfev_cg,
-            "eager_seconds": eager_s,
-            "replay_seconds": replay_s,
-            "codegen_seconds": cg_s,
-            "eager_us_per_nfe": eager_s / nfev_eager * 1e6,
-            "replay_us_per_nfe": replay_per_nfe * 1e6,
-            "codegen_us_per_nfe": cg_per_nfe * 1e6,
-            "codegen_vs_replay_per_nfe": replay_per_nfe / cg_per_nfe,
-            "max_abs_diff_replay": float(
-                np.abs(sol_eager - sol_replay).max()),
-            "max_abs_diff_codegen": float(np.abs(sol_eager - sol_cg).max()),
-        },
-        "grads": {
-            "max_abs_diff": grad_diff,
-            "bit_identical": grad_bit_identical,
-            "leaves": sorted(g_eager),
-        },
-        "codegen": {
-            "builds": counters.get("ir.codegen_builds", 0.0),
-            "calls": counters.get("ir.codegen_calls", 0.0),
-            "fallbacks": counters.get("ir.codegen_fallbacks", 0.0),
-        },
-    }
-    path = pathlib.Path(out_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def _main_codegen(out: str) -> int:
-    payload = run_codegen(out)
-    rhs, solve = payload["rhs"], payload["solve"]
-    grads, cg = payload["grads"], payload["codegen"]
-    print(f"RHS microbenchmark ({payload['rhs_calls']} calls, no_grad)")
-    print(f"  eager:   {rhs['eager_us']:8.1f} us/call")
-    print(f"  replay:  {rhs['replay_us']:8.1f} us/call")
-    print(f"  codegen: {rhs['codegen_us']:8.1f} us/call  "
-          f"({rhs['codegen_vs_replay']:.2f}x vs replay, "
-          f"{rhs['codegen_vs_eager']:.2f}x vs eager)")
-    print(f"dopri5 solve (nfev={solve['nfev']})")
-    print(f"  eager:   {solve['eager_us_per_nfe']:8.1f} us/NFE")
-    print(f"  replay:  {solve['replay_us_per_nfe']:8.1f} us/NFE  "
-          f"max|diff|={solve['max_abs_diff_replay']:.1e}")
-    print(f"  codegen: {solve['codegen_us_per_nfe']:8.1f} us/NFE  "
-          f"({solve['codegen_vs_replay_per_nfe']:.2f}x vs replay)  "
-          f"max|diff|={solve['max_abs_diff_codegen']:.1e}")
-    print(f"  grads: max|diff|={grads['max_abs_diff']:.1e}  "
-          f"bit_identical={grads['bit_identical']}")
-    print(f"  codegen: {cg['builds']:.0f} builds, {cg['calls']:.0f} calls, "
-          f"{cg['fallbacks']:.0f} fallbacks")
     print(f"  wrote {out}")
     return 0
 
@@ -675,19 +509,15 @@ def passes_workload(batch: int = 16, n: int = 48, d: int = 8,
 def _solve_passes(pass_mode: str):
     """One no_grad replay dopri5 solve of the passes workload under
     ``pass_mode``; returns (solution, nfev, seconds, ir.* counters)."""
-    from .autodiff import get_ir_passes, set_executor, set_ir_passes
     from .telemetry import get_registry
 
     rhs, s0, _ = passes_workload()
     times = np.linspace(0.0, 1.0, 6)
     reg = get_registry()
-    prev = get_ir_passes()
-    set_executor("replay")
-    set_ir_passes(pass_mode)
     reg.reset()
     reg.enable()
     try:
-        with no_grad():
+        with _modes("replay", ir_passes=pass_mode), no_grad():
             start = time.perf_counter()
             solution = solve(rhs, Tensor(s0), times, method="dopri5",
                              options=SolverOptions(rtol=RTOL, atol=ATOL))
@@ -698,16 +528,13 @@ def _solve_passes(pass_mode: str):
     finally:
         reg.disable()
         reg.reset()
-        set_executor("eager")
-        set_ir_passes(prev)
     return sol.data.copy(), stats.nfev, elapsed, counters
 
 
 def _passes_grads(use_replay: bool) -> dict:
     """Gradient snapshot of ``sum(rhs(0.5, s))`` w.r.t. the state and every
     trainable leaf -- eager tape, or the optimized fat-node replay."""
-    from .autodiff import (CompiledFunction, get_ir_passes, set_executor,
-                           set_ir_passes)
+    from .autodiff import CompiledFunction
 
     rhs, s0, params = passes_workload()
     s = Tensor(s0, requires_grad=True, name="s")
@@ -716,17 +543,11 @@ def _passes_grads(use_replay: bool) -> dict:
         out.backward(np.ones_like(out.data))
     else:
         compiled = CompiledFunction(rhs)
-        prev = get_ir_passes()
-        set_executor("replay")
-        set_ir_passes("default")
-        try:
+        with _modes("replay", ir_passes="default"):
             compiled(0.5, s)            # trace
             compiled(0.5, s)            # validate (bit-compare vs eager)
             out = compiled(0.5, s)      # optimized replay -> fat node
             out.backward(np.ones_like(out.data))
-        finally:
-            set_executor("eager")
-            set_ir_passes(prev)
     grads = {"s": np.array(s.grad, copy=True)}
     for name, p in params.items():
         grads[name] = np.array(p.grad, copy=True)
@@ -735,8 +556,7 @@ def _passes_grads(use_replay: bool) -> dict:
 
 def run_passes(out_path: str | pathlib.Path = "BENCH_passes.json",
                calls: int = 200) -> dict:
-    from .autodiff import (CompiledFunction, get_ir_passes, set_executor,
-                           set_ir_passes)
+    from .autodiff import CompiledFunction
 
     # -- replay-RHS microbenchmark per pass mode -----------------------
     rhs_us = {}
@@ -744,17 +564,11 @@ def run_passes(out_path: str | pathlib.Path = "BENCH_passes.json",
         rhs, s0, _ = passes_workload()
         s = Tensor(s0)
         compiled = CompiledFunction(rhs)
-        prev = get_ir_passes()
-        set_executor("replay")
-        set_ir_passes(pass_mode)
-        try:
+        with _modes("replay", ir_passes=pass_mode):
             with no_grad():
                 compiled(0.5, s)        # trace
-                compiled(0.5, s)        # validate
+                compiled(0.5, s)        # validate, lower to the kernel
             rhs_us[pass_mode] = _time_rhs_calls(compiled, s, calls) * 1e6
-        finally:
-            set_executor("eager")
-            set_ir_passes(prev)
 
     # -- full dopri5 replay solve, passes off vs on --------------------
     sol_off, nfev_off, off_s, _ = _solve_passes("none")
@@ -1197,8 +1011,7 @@ def _memory_mode_run(mode: str, n_obs: int, dim: int, batch: int, seed: int):
     for the backprop modes, the retained per-readout output states (plus
     the one transient VJP frame) for the adjoint.
     """
-    from .autodiff import (reset_tape_stats, set_checkpoint_grads,
-                           set_executor, tape_stats)
+    from .autodiff import reset_tape_stats, tape_stats
     from .nn import Linear, Module
 
     class _Field(Module):
@@ -1216,17 +1029,13 @@ def _memory_mode_run(mode: str, n_obs: int, dim: int, batch: int, seed: int):
     opts = SolverOptions(step_size=float(times[1] - times[0]),
                          adjoint=(mode == "adjoint"))
 
-    set_executor("replay")
-    set_checkpoint_grads("on" if mode == "checkpointed" else "off")
-    reset_tape_stats()
-    try:
+    with _modes("replay", checkpoint_grads=("on" if mode == "checkpointed"
+                                            else "off")):
+        reset_tape_stats()
         start = time.perf_counter()
         sol = solve(field, y0, times, method="rk4", options=opts)
         (sol.ys ** 2).mean().backward()
         wall = time.perf_counter() - start
-    finally:
-        set_checkpoint_grads("off")
-        set_executor("eager")
 
     peak = tape_stats()["peak_bytes"]
     if mode == "adjoint":
@@ -1587,9 +1396,6 @@ def main(argv: list[str] | None = None) -> int:
     if target == "passes":
         return _main_passes(argv[1] if len(argv) > 1
                             else "BENCH_passes.json")
-    if target == "codegen":
-        return _main_codegen(argv[1] if len(argv) > 1
-                             else "BENCH_codegen.json")
     if target == "batching":
         return _main_batching(argv[1] if len(argv) > 1
                               else "BENCH_batching.json")

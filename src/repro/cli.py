@@ -33,8 +33,7 @@ import contextlib
 
 import numpy as np
 
-from .autodiff import (set_checkpoint_grads, set_codegen, set_executor,
-                       set_ir_passes)
+from .autodiff import set_checkpoint_grads, set_executor, set_ir_passes
 from .data import Dataset, batch_iter, train_val_test_split
 from .experiments import (
     ALL_MODELS,
@@ -98,10 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace-optimization passes under the replay "
                             "executor (default: REPRO_IR_PASSES env or "
                             "'default'; 'none' replays raw traces)")
-    train.add_argument("--codegen", default=None,
-                       choices=["on", "off"],
-                       help="generated flat kernels for no_grad replays "
-                            "(default: REPRO_CODEGEN env or off)")
     train.add_argument("--adjoint", action="store_true",
                        help="differentiate the ODE solve with the "
                             "continuous adjoint (O(state) memory, "
@@ -133,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["default", "none"],
                     help="trace-optimization passes under the replay "
                          "executor")
-    ev.add_argument("--codegen", default=None,
-                    choices=["on", "off"],
-                    help="generated flat kernels for no_grad replays")
 
     prof = sub.add_parser(
         "profile",
@@ -169,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["default", "none"],
                       help="trace-optimization passes under the replay "
                            "executor")
-    prof.add_argument("--codegen", default=None,
-                      choices=["on", "off"],
-                      help="generated flat kernels for no_grad replays")
     prof.add_argument("--adjoint", action="store_true",
                       help="differentiate the ODE solve with the "
                            "continuous adjoint (DIFFODE only)")
@@ -240,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--executor", default=None,
                      choices=["eager", "replay"],
                      help="autodiff executor for ODE right-hand sides")
-    srv.add_argument("--codegen", default=None, choices=["on", "off"],
-                     help="generated flat kernels for no_grad replays")
 
     lg = sub.add_parser(
         "loadgen",
@@ -416,8 +403,8 @@ def _cmd_profile(args) -> int:
                                               + getattr(stats, key))
             if last_batch is not None:
                 # Inference-path profile: no_grad forwards hit the replay
-                # executor's no_grad keys (and the codegen backend when
-                # enabled), which training steps never exercise.
+                # executor's no_grad keys (generated kernels), which
+                # training steps never exercise.
                 with reg.timer("inference"), no_grad():
                     for _ in range(3):       # trace, validate, replay
                         trainer.loss_fn(last_batch)
@@ -614,8 +601,6 @@ def main(argv: list[str] | None = None) -> int:
         set_executor(args.executor)
     if getattr(args, "ir_passes", None):
         set_ir_passes(args.ir_passes)
-    if getattr(args, "codegen", None):
-        set_codegen(args.codegen)
     if getattr(args, "checkpoint_grads", None):
         set_checkpoint_grads(args.checkpoint_grads)
     handlers = {"train": _cmd_train, "evaluate": _cmd_evaluate,

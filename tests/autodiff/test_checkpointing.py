@@ -17,11 +17,9 @@ from repro.autodiff import (
     CompiledFunction,
     Tensor,
     get_checkpoint_grads,
-    get_codegen,
     get_executor,
     reset_tape_stats,
     set_checkpoint_grads,
-    set_codegen,
     set_executor,
     tape_stats,
 )
@@ -70,16 +68,14 @@ class Field(Module):
         return self.lin(y).tanh() * 0.9
 
 
-def _chain_grads(dim, batch, steps, *, ckpt, codegen="off", seed=0):
+def _chain_grads(dim, batch, steps, *, ckpt, seed=0):
     """Euler-like chain of compiled RHS steps; returns (loss, gy, gparams)."""
     rng = np.random.default_rng(seed)
     field = Field(rng, dim)
     y0 = Tensor(rng.normal(size=(batch, dim)), requires_grad=True)
-    prev_exec, prev_ckpt, prev_cg = (get_executor(), get_checkpoint_grads(),
-                                     get_codegen())
+    prev_exec, prev_ckpt = get_executor(), get_checkpoint_grads()
     set_executor("replay")
     set_checkpoint_grads(ckpt)
-    set_codegen(codegen)
     try:
         cf = CompiledFunction(field)
         y = y0
@@ -90,7 +86,6 @@ def _chain_grads(dim, batch, steps, *, ckpt, codegen="off", seed=0):
     finally:
         set_executor(prev_exec)
         set_checkpoint_grads(prev_ckpt)
-        set_codegen(prev_cg)
     return (loss.item(), y0.grad.copy(),
             [p.grad.copy() for p in field.parameters()])
 
@@ -109,10 +104,10 @@ def _eager_grads(dim, batch, steps, seed=0):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("codegen", ["off", "on"])
-    def test_matches_eager_exactly(self, codegen):
+    @pytest.mark.parametrize("ckpt", ["off", "on"])
+    def test_matches_eager_exactly(self, ckpt):
         ref = _eager_grads(4, 3, 6)
-        got = _chain_grads(4, 3, 6, ckpt="on", codegen=codegen)
+        got = _chain_grads(4, 3, 6, ckpt=ckpt)
         assert got[0] == ref[0]
         np.testing.assert_array_equal(got[1], ref[1])
         for a, b in zip(got[2], ref[2]):

@@ -1,4 +1,5 @@
-"""Trace-and-replay executor: lifecycle, bit-identity with eager, fallback."""
+"""Trace-and-replay executor: lifecycle, bit-identity with eager, fallback,
+and the generated kernels that serve every validated no_grad replay."""
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from repro.autodiff import (
     maximum,
     maybe_compile,
     no_grad,
+    recent_sources,
     set_executor,
     time_tensor,
     where,
 )
+from repro.autodiff import executors as executors_mod
+from repro.autodiff.codegen import CodegenError
 from repro.telemetry import get_registry
 
 _floats = st.floats(min_value=-3.0, max_value=3.0,
@@ -34,6 +38,28 @@ def replay_mode():
     set_executor("replay")
     yield
     set_executor(prev)
+
+
+@pytest.fixture
+def counters():
+    reg = get_registry()
+    reg.reset()
+    reg.enable()
+    yield reg
+    reg.disable()
+    reg.reset()
+
+
+def _mlp_rhs(seed=0):
+    rng = np.random.default_rng(seed)
+    w1 = Tensor(rng.normal(size=(6, 12)))
+    b1 = Tensor(rng.normal(size=(12,)))
+    w2 = Tensor(rng.normal(size=(12, 6)))
+
+    def f(t, y):
+        return (y @ w1 + b1).tanh() @ w2 - y * 0.1
+
+    return f, w1
 
 
 class TestLifecycle:
@@ -133,6 +159,99 @@ class TestLifecycle:
         assert calls == [(2, 2), (2, 2), (4, 2), (4, 2)]
         assert len(cf.entries) == 2
 
+    def test_validate_installs_codegen_state(self, replay_mode):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return y * 2.0 + 1.0
+
+        cf = CompiledFunction(f)
+        y = Tensor(np.ones((2, 3)))
+        with no_grad():
+            outs = [cf(t, y) for t in (0.0, 0.1, 0.2, 0.3)]
+        # trace + validate enter the function; kernel replays do not
+        assert calls == [0.0, 0.1]
+        (state, _), = cf.entries.values()
+        assert state == "codegen"
+        for out in outs:
+            np.testing.assert_array_equal(out.data, np.full((2, 3), 3.0))
+
+    def test_grad_keys_stay_on_fat_node_replay(self, replay_mode):
+        f, w1 = _mlp_rhs()
+        w1.requires_grad = True
+        cf = CompiledFunction(f)
+        y = Tensor(np.ones((2, 6)), requires_grad=True)
+        for t in (0.0, 0.1, 0.2):
+            out = cf(t, y)
+        (state, graph), = cf.entries.values()
+        assert state == "ready"
+        assert graph.grad_mode
+        out.backward(np.ones_like(out.data))
+        assert w1.grad is not None and y.grad is not None
+
+    def test_counters_and_source_log(self, replay_mode, counters):
+        f, _ = _mlp_rhs()
+        cf = CompiledFunction(f)
+        y = Tensor(np.ones((2, 6)))
+        with no_grad():
+            for t in (0.0, 0.1, 0.2, 0.3, 0.4):
+                cf(t, y)
+        assert counters.counter("ir.codegen_builds").value == 1
+        assert counters.counter("ir.codegen_calls").value == 3
+        assert counters.counter("ir.codegen_fallbacks").value == 0
+        entry = recent_sources()[-1]
+        assert "def _kernel(t, y):" in entry["source"]
+        assert entry["body_ops"] > 0
+
+    def test_lowering_failure_pins_key_to_eager(self, replay_mode,
+                                                counters, monkeypatch):
+        def broken(graph, tag=""):
+            raise CodegenError("forced")
+
+        monkeypatch.setattr(executors_mod, "build_codegen", broken)
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return y * 3.0
+
+        cf = CompiledFunction(f)
+        y = Tensor(np.ones(3))
+        with no_grad():
+            outs = [cf(t, y) for t in (0.0, 0.1, 0.2)]
+        (state, _), = cf.entries.values()
+        assert state == "eager"
+        assert calls == [0.0, 0.1, 0.2]     # every call re-enters f
+        assert counters.counter("ir.codegen_fallbacks").value == 1
+        for out in outs:
+            np.testing.assert_array_equal(out.data, np.full(3, 3.0))
+
+    def test_kernel_mismatch_pins_key_to_eager(self, replay_mode,
+                                               counters, monkeypatch):
+        def wrong(graph, tag=""):
+            return (lambda t, y: np.full(y.shape, 42.0)), "bogus"
+
+        monkeypatch.setattr(executors_mod, "build_codegen", wrong)
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return y * 3.0
+
+        cf = CompiledFunction(f)
+        y = Tensor(np.ones(3))
+        with no_grad():
+            outs = [cf(t, y) for t in (0.0, 0.1, 0.2)]
+        # the bit-compare at validation rejects the kernel and pins eager
+        (state, _), = cf.entries.values()
+        assert state == "eager"
+        assert calls == [0.0, 0.1, 0.2]
+        assert counters.counter("ir.codegen_builds").value == 1
+        assert counters.counter("ir.codegen_fallbacks").value == 1
+        for out in outs:
+            np.testing.assert_array_equal(out.data, np.full(3, 3.0))
+
 
 class TestNoGradReplay:
     def test_buffered_replay_matches_eager(self, replay_mode):
@@ -152,8 +271,11 @@ class TestNoGradReplay:
             np.testing.assert_array_equal(got.data, want.data)
 
     def test_escaping_outputs_survive_later_replays(self, replay_mode):
+        w = Tensor(2.0 * np.eye(2))
+
         def f(t, y):
-            return (y * 2.0).reshape(-1)   # view op terminates the trace
+            # a view of the kernel's persistent matmul buffer
+            return (y @ w).reshape(-1)
 
         cf = CompiledFunction(f)
         with no_grad():
@@ -161,6 +283,58 @@ class TestNoGradReplay:
                     for t in range(5)]
         for t, out in enumerate(outs):
             np.testing.assert_array_equal(out.data, np.full(4, 2.0 * (t + 1)))
+
+    def test_mixed_op_workload_matches_eager(self, replay_mode):
+        rng = np.random.default_rng(3)
+        W = Tensor(rng.normal(size=(5, 5)))
+        gate = Tensor(rng.normal(size=(4, 5)))
+        A = Tensor(rng.normal(size=(5, 5)) + 4.0 * np.eye(5))
+        mark_static(A)
+
+        def f(t, y):
+            tt = time_tensor(t, (4, 5))
+            h = (y @ W + tt).tanh()
+            h = where(gate > 0.0, h, h.exp().log())
+            inv = Tensor(np.linalg.inv(A.data))   # rebuilt eagerly per call
+            return maximum(h @ inv, y * -0.5) - y.sigmoid()
+
+        cf = CompiledFunction(f)
+        y = Tensor(rng.normal(size=(4, 5)))
+        with no_grad():
+            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+                out = cf(t, y)
+                expected = f(t, y)
+                np.testing.assert_array_equal(out.data, expected.data)
+        (state, _), = cf.entries.values()
+        assert state == "codegen"
+
+    def test_inplace_param_update_is_visible(self, replay_mode):
+        """Non-static externals are re-read through live ``.data`` per
+        call, so an in-place parameter update must show up immediately."""
+        f, w1 = _mlp_rhs(seed=7)
+        cf = CompiledFunction(f)
+        y = Tensor(np.ones((2, 6)))
+        with no_grad():
+            for t in (0.0, 0.1, 0.2):
+                cf(t, y)
+            (state, _), = cf.entries.values()
+            assert state == "codegen"
+            w1.data[...] += 0.25            # optimizer-style in-place step
+            out = cf(0.3, y)
+            expected = f(0.3, y)
+        np.testing.assert_array_equal(out.data, expected.data)
+
+    def test_output_is_writable_and_detached(self, replay_mode):
+        cf = CompiledFunction(lambda t, y: y.reshape(6))
+        y = Tensor(np.arange(6.0).reshape(2, 3))
+        with no_grad():
+            for t in (0.0, 0.1, 0.2):
+                out = cf(t, y)
+        assert not np.shares_memory(out.data, y.data)
+        out.data[0] = 99.0                  # solver-style in-place use
+        with no_grad():
+            again = cf(0.3, y)
+        np.testing.assert_array_equal(again.data, np.arange(6.0))
 
 
 class TestBitIdentity:

@@ -15,6 +15,7 @@ from repro.autodiff import (
     set_executor,
     time_tensor,
 )
+from repro.autodiff import codegen
 from repro.autodiff.ir import (
     UNREPLAYABLE,
     TraceRecorder,
@@ -51,28 +52,110 @@ class TestOpRegistry:
         with pytest.raises(ValueError):
             register_op("add", lambda ins, at: ins[0], None)
 
-    def test_run_out_matches_forward(self):
-        """Buffered execution must produce the bits fresh execution does."""
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((3, 4))
-        cases = {
-            "add": ((a, b), None), "sub": ((a, b), None),
-            "mul": ((a, b), None), "div": ((a, np.abs(b) + 1.0), None),
-            "neg": ((a,), None), "exp": ((a,), None),
-            "log": ((np.abs(a) + 0.5,), None), "sqrt": ((np.abs(a),), None),
-            "tanh": ((a,), None), "relu": ((a,), None),
-            "abs": ((a,), None), "sin": ((a,), None), "cos": ((a,), None),
-            "pow": ((a,), {"exponent": 3}),
-            "clip": ((a,), {"lo": -0.5, "hi": 0.5}),
-        }
-        for opcode, (ins, attrs) in cases.items():
-            spec = OPS[opcode]
-            assert spec.run_out is not None, opcode
-            fresh = spec.forward(ins, attrs)
-            buf = np.empty_like(fresh)
-            spec.run_out(ins, attrs, buf)
-            np.testing.assert_array_equal(buf, fresh, err_msg=opcode)
+    @pytest.mark.parametrize("opcode", sorted(
+        op for op, spec in OPS.items() if spec.emit is not None))
+    def test_render_rules_match_forward(self, opcode):
+        """Each codegen render rule repeats its forward rule bit for bit.
+
+        A drifted rule would fail the kernel's validation bit-compare and
+        silently pin every trace using the op to eager; this names it."""
+        spec = OPS[opcode]
+        for ins, attrs in _render_cases()[opcode]:
+            with np.errstate(all="ignore"):
+                want = np.asarray(spec.forward(ins, attrs))
+                got = _eval_render(spec, ins, attrs)
+                assert _bits(got) == _bits(want), (opcode, attrs)
+                if spec.emit_out is not None:
+                    buf = _eval_render(spec, ins, attrs, into=want.shape)
+                    assert _bits(buf) == _bits(want.astype(np.float64)), \
+                        (opcode, attrs)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _eval_render(spec, ins, attrs, into=None):
+    """Render ``spec.emit`` (or ``emit_out`` into a fresh buffer of shape
+    ``into``) over named arguments and evaluate it as a kernel would."""
+    ns = dict(codegen._BASE_NS)
+    args = []
+    for k, arr in enumerate(ins):
+        ns[f"a{k}"] = arr
+        args.append(f"a{k}")
+
+    def const(obj):
+        name = f"c{len(ns)}"
+        ns[name] = obj
+        return name
+
+    if into is None:
+        return eval(spec.emit(args, attrs, const), ns)
+    ns["out"] = np.empty(into)
+    exec(spec.emit_out(args, attrs, const, "out"), ns)
+    return ns["out"]
+
+
+def _render_cases() -> dict:
+    """Inputs and attrs per opcode: broadcast shapes, signed zeros (ties
+    of ``0.0`` against ``-0.0`` tell ``>=`` from ``>``) and values past
+    the sigmoid clip."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 4))
+    a[0, :3] = (-0.0, 0.0, -0.0)
+    b = rng.standard_normal((3, 4))
+    b[0, :3] = (0.0, -0.0, -0.0)
+    row = rng.standard_normal(4)
+    col = rng.standard_normal((3, 1))
+    tie = a.copy()
+    tie[1] = b[1]
+    big = np.array([-80.0, -60.5, -0.0, 0.0, 0.5, 60.5, 80.0])
+    cube = rng.standard_normal((2, 3, 4))
+    square = a @ a.T + 3.0 * np.eye(3)
+
+    binary = [((a, b), None), ((a, row), None), ((col, a), None),
+              ((a, tie), None), ((big, big[::-1]), None)]
+    unary = [((a,), None), ((big,), None)]
+    cases = {op: binary for op in (
+        "add", "sub", "mul", "div", "greater", "less", "greater_equal",
+        "less_equal", "maximum", "minimum")}
+    cases.update({op: unary for op in (
+        "neg", "exp", "log", "sqrt", "tanh", "sigmoid", "relu",
+        "softplus", "abs", "sin", "cos")})
+    reductions = [((cube,), {"axis": axis, "keepdims": keepdims})
+                  for axis in (None, 0, -1, (0, 2))
+                  for keepdims in (False, True)]
+    cases.update({
+        "pow": [((x,), {"exponent": e}) for x in (a, big)
+                for e in (2, 0.5, -1, 3)],
+        "clip": [((a,), {"lo": -0.5, "hi": 0.5}),
+                 ((big,), {"lo": -60.0, "hi": 60.0})],
+        "matmul": [((a, b.T), None), ((cube, b.T), None),
+                   ((row, b.T), None), ((a, row), None)],
+        "amax_const": [((cube,), {"axis": -1}), ((cube,), {"axis": 0})],
+        "reshape": [((a,), {"shape": (4, 3)}), ((cube,), {"shape": (-1,)})],
+        "transpose": [((cube,), {"axis0": 0, "axis1": 2}),
+                      ((row,), {"axis0": None, "axis1": None})],
+        "permute": [((cube,), {"axes": (2, 0, 1), "inverse": (1, 2, 0)})],
+        "getitem": [((a,), {"index": (slice(None), 1)}),
+                    ((cube,), {"index": (Ellipsis, None, slice(0, 4, 2))}),
+                    ((a,), {"index": ([0, 2, 2],)}),
+                    ((a,), {"index": a > 0}),
+                    ((cube,), {"index": (np.array([1, 0]), slice(1, 3))})],
+        "broadcast_to": [((row,), {"shape": (3, 4)}),
+                         ((col,), {"shape": (2, 3, 4)})],
+        "sum": reductions,
+        "max": reductions,
+        "inv": [((square,), None), ((np.stack([square, 2.0 * square]),),
+                                    None)],
+        "pinv": [((a,), {"rcond": 1e-15}), ((cube,), {"rcond": 1e-10})],
+        "concat": [((a, b, a), {"axis": 0, "splits": [3, 6]}),
+                   ((a, col), {"axis": 1, "splits": [4]})],
+        "stack": [((a, b), {"axis": 0}), ((a, b, tie), {"axis": -1})],
+        "where": [((a > 0, a, b), None), ((a > b, row, col), None)],
+    })
+    return cases
 
 
 class TestNodeIds:

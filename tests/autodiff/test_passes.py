@@ -10,14 +10,12 @@ from hypothesis.extra.numpy import arrays
 from repro.autodiff import (
     CompiledFunction,
     Tensor,
-    get_codegen,
     get_executor,
     get_ir_passes,
     get_trace_cache_cap,
     mark_static,
     no_grad,
     plan_trace,
-    set_codegen,
     set_executor,
     set_ir_passes,
     set_trace_cache_cap,
@@ -316,17 +314,15 @@ def test_lowering_cap_trims_populated_caches_immediately(replay_mode,
 @given(num_heads=st.sampled_from([1, 2]),
        batch=st.integers(min_value=1, max_value=5),
        mode=st.sampled_from(["default", "none"]),
-       codegen=st.sampled_from(["on", "off"]),
        p_solver=st.sampled_from(sorted(P_SOLVERS)),
        data=st.data())
 def test_replay_matches_eager_forward_and_backward(num_heads, batch, mode,
-                                                   codegen, p_solver, data):
+                                                   p_solver, data):
     """Optimized replay must reproduce eager forward values and gradients
     bit-for-bit for the DHS dynamics, for 1- and 2-head models, every
-    p-solver, across batch sizes, with the pass pipeline on and off, and
-    with the codegen backend swept on and off (gradients stay on the
-    fat-node replay; the no_grad forward goes through the generated
-    kernel when it is on)."""
+    p-solver, across batch sizes, with the pass pipeline on and off
+    (gradients go through the fat-node replay, the no_grad forward
+    through the generated kernel)."""
     head_dim, n = 4, 6
     latent = head_dim * num_heads
     rng = np.random.default_rng(17)
@@ -366,16 +362,15 @@ def test_replay_matches_eager_forward_and_backward(num_heads, batch, mode,
             if executor == "eager":
                 return dyn(0.3, s).data.copy()
             cf = CompiledFunction(dyn)
-            for _ in range(3):          # trace, validate, replay/codegen
+            for _ in range(3):          # trace, validate, kernel
                 out = cf(0.3, s)
             return out.data.copy()
 
     prev_exec = get_executor()
-    prev_mode, prev_cg = get_ir_passes(), get_codegen()
+    prev_mode = get_ir_passes()
     try:
         set_executor("eager")
         set_ir_passes(mode)
-        set_codegen(codegen)
         out_eager, grads_eager = run("eager")
         ng_eager = run_nograd("eager")
         set_executor("replay")
@@ -384,7 +379,6 @@ def test_replay_matches_eager_forward_and_backward(num_heads, batch, mode,
     finally:
         set_executor(prev_exec)
         set_ir_passes(prev_mode)
-        set_codegen(prev_cg)
 
     np.testing.assert_array_equal(out_eager, out_replay)
     np.testing.assert_array_equal(ng_eager, ng_replay)

@@ -1,10 +1,12 @@
-"""The end-to-end benchmark's layer hooks still find their targets.
+"""The end-to-end benchmark's hooks into the program still resolve.
 
 ``perfbench/spans.py`` patches program functions by name (module
 globals, class attributes, one model's modules).  A renamed or no longer
 imported target makes its installers raise, which otherwise only the
 benchmark's own lane would notice.  This installs every hook and checks
-that uninstalling puts each original back.
+that uninstalling puts each original back.  ``perfbench/run.py`` reads
+the execution modes through the program's accessors for its environment
+line; a removed accessor would stop every run before it prints a result.
 """
 
 import importlib.util
@@ -13,6 +15,9 @@ import pathlib
 import pytest
 
 import repro.parallel
+from repro.autodiff import (get_checkpoint_grads, get_executor,
+                            get_ir_passes, set_checkpoint_grads,
+                            set_executor, set_ir_passes)
 from repro.autodiff.tensor import Tensor
 from repro.core import DiffODE, DiffODEConfig, dhs, model as model_mod, \
     streaming
@@ -23,7 +28,8 @@ from repro.parallel import union
 from repro.serving import batcher, cache, engine, protocol
 from repro.training import optim, trainer
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 #: every owner whose attributes the hooks replace
 OWNERS = (model_mod, model_mod.DiffODE, GRU, dhs.ContextState, DHSDynamics,
@@ -33,12 +39,16 @@ OWNERS = (model_mod, model_mod.DiffODE, GRU, dhs.ContextState, DHSDynamics,
           batcher.MicroBatcher)
 
 
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load(SPANS, "perfbench_spans")
 
 
 def test_hooks_install_and_uninstall_cleanly(spans):
@@ -66,3 +76,23 @@ def test_hooks_install_and_uninstall_cleanly(spans):
             assert now[name] is value, f"{owner!r}.{name} not restored"
     assert "forward" not in vars(model.enc_proj)
     assert "forward" not in vars(model.head)
+
+
+def test_environment_reports_execution_modes(monkeypatch):
+    run = _load(PERFBENCH / "run.py", "perfbench_run")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    prev = get_executor(), get_ir_passes(), get_checkpoint_grads()
+    try:
+        # the program's defaults, which perfbench measures
+        set_executor("eager")
+        set_ir_passes("default")
+        set_checkpoint_grads("off")
+        env = run.environment()
+        assert (env["executor"], env["ir_passes"], env["codegen"],
+                env["checkpoint_grads"]) == ("eager", "default", "off", "off")
+        set_executor("replay")
+        assert run.environment()["codegen"] == "on"
+    finally:
+        set_executor(prev[0])
+        set_ir_passes(prev[1])
+        set_checkpoint_grads(prev[2])

@@ -82,15 +82,13 @@ class TestDiffODECheckpoint:
         with pytest.raises(KeyError):
             load_diffode(path)
 
-    @pytest.mark.parametrize("executor", ["eager", "replay",
-                                          "replay+codegen"])
+    @pytest.mark.parametrize("executor", ["eager", "replay"])
     def test_roundtrip_bitwise_under_every_executor(self, rng, tmp_path,
                                                     executor):
         """Loaded weights must reproduce outputs *bit-identically* even
-        when the RHS runs through the trace-replay / codegen executors,
-        whose compiled traces capture static tensors by reference."""
-        from repro.autodiff import (get_codegen, get_executor, set_codegen,
-                                    set_executor)
+        when the RHS runs through the trace-replay executor, whose compiled
+        traces and generated kernels capture static tensors by reference."""
+        from repro.autodiff import get_executor, set_executor
 
         model = DiffODE(self._config())
         path = tmp_path / "diffode.npz"
@@ -99,15 +97,13 @@ class TestDiffODECheckpoint:
         values = rng.normal(size=(3, 16, 2))
         times = np.sort(rng.random((3, 16)), axis=1)
         mask = np.ones((3, 16))
-        prev, prev_cg = get_executor(), get_codegen()
-        set_executor("eager" if executor == "eager" else "replay")
-        set_codegen("on" if executor.endswith("codegen") else "off")
+        prev = get_executor()
+        set_executor(executor)
         try:
             out1 = model.forward_classification(values, times, mask).data
             out2 = clone.forward_classification(values, times, mask).data
         finally:
             set_executor(prev)
-            set_codegen(prev_cg)
         np.testing.assert_array_equal(out1, out2)
 
     def test_load_state_dict_bumps_graph_epoch(self, rng):
