@@ -157,38 +157,3 @@ def test_replay_beats_eager_rhs(save_result):
         f"{best['trace_cache']['hit_rate']:.1%}, "
         f"solve max|diff| {best['solve']['max_abs_diff_vs_eager']:.1e}"))
 
-
-def test_pass_pipeline_beats_plain_replay(save_result):
-    """The optimizing passes must cut >= 1.3x off the NFE-normalized
-    replay-RHS cost of the naive-DHS dynamics microbenchmark (hoisting the
-    inlined Eq. 32/34 context math), with the passes-on solve bit-identical
-    to passes-off and the fat-node gradients bit-identical to the eager
-    tape (wall-clock: best of 3 benchmark runs)."""
-    from repro.benchmarks import run_passes
-
-    from .conftest import RESULTS_DIR
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_passes.json"
-    best = None
-    for _ in range(3):
-        payload = run_passes(out)
-        assert payload["solve"]["max_abs_diff"] == 0.0, payload
-        assert payload["grads"]["max_abs_diff"] == 0.0, payload
-        assert payload["grads"]["bit_identical"], payload
-        assert payload["pass_stats"]["hoisted_ops"] > 0, payload
-        if (best is None or payload["solve"]["speedup_per_nfe"]
-                > best["solve"]["speedup_per_nfe"]):
-            best = payload
-        if best["solve"]["speedup_per_nfe"] >= 1.3:
-            break
-    out.write_text(json.dumps(best, indent=2) + "\n")
-    assert best["solve"]["speedup_per_nfe"] >= 1.3, best
-    save_result("BENCH_passes", (
-        f"ir passes: replay RHS {best['rhs']['passes_off_us']:.1f}us/call "
-        f"off vs {best['rhs']['passes_on_us']:.1f}us/call on "
-        f"({best['rhs']['rhs_speedup']:.2f}x), solve "
-        f"{best['solve']['speedup_per_nfe']:.2f}x per NFE, "
-        f"{best['pass_stats']['hoisted_ops']:.0f} ops hoisted, "
-        f"solve max|diff| {best['solve']['max_abs_diff']:.1e}, "
-        f"grad max|diff| {best['grads']['max_abs_diff']:.1e}"))

@@ -8,10 +8,7 @@
 #   scripts/test.sh ir       tier-1 under the trace-and-replay executor
 #                            (REPRO_EXECUTOR=replay, where every validated
 #                            no_grad trace runs as a generated kernel and
-#                            gradient traces as fat-node replays), once
-#                            with the optimizing passes on
-#                            (REPRO_IR_PASSES=default) and once with them
-#                            off (REPRO_IR_PASSES=none)
+#                            gradient traces as fat-node replays)
 #   scripts/test.sh batching the union-grid batching suites (planner,
 #                            solve driver, solve() facade) plus the
 #                            BENCH_batching acceptance benchmark
@@ -27,11 +24,12 @@
 #                            subprocess smoke (CLI serve + loadgen) and
 #                            the BENCH_serving acceptance benchmark
 #   scripts/test.sh adjoint  tier-1 under trace-checkpointed backprop
-#                            (REPRO_CHECKPOINT_GRADS=on), once with the
-#                            eager executor and once under replay
-#                            (REPRO_EXECUTOR=replay), then the
-#                            BENCH_memory acceptance benchmark (backward
-#                            memory gates) under the default settings
+#                            (REPRO_CHECKPOINT_GRADS=on with
+#                            REPRO_EXECUTOR=replay; only gradient replays
+#                            checkpoint, so the eager executor never
+#                            reaches it), then the BENCH_memory
+#                            acceptance benchmark (backward memory gates)
+#                            under the default settings
 #   scripts/test.sh perf     the end-to-end benchmark's own checks
 #                            (perfbench/test_perfbench.py): seed
 #                            reproducibility of the workloads and the
@@ -56,14 +54,9 @@ case "$lane" in
         exec python -m pytest -x -q -m tier2 "$@"
         ;;
     ir)
-        env REPRO_EXECUTOR=replay REPRO_IR_PASSES=default \
-            python -m pytest -x -q "$@"
-        exec env REPRO_EXECUTOR=replay REPRO_IR_PASSES=none \
-            python -m pytest -x -q "$@"
+        exec env REPRO_EXECUTOR=replay python -m pytest -x -q "$@"
         ;;
     adjoint)
-        env REPRO_CHECKPOINT_GRADS=on \
-            python -m pytest -x -q "$@"
         env REPRO_CHECKPOINT_GRADS=on REPRO_EXECUTOR=replay \
             python -m pytest -x -q "$@"
         exec python -m pytest -x -q benchmarks/test_memory.py \

@@ -8,10 +8,6 @@ The package is organised around an explicit op-graph IR:
   eager executor (``apply``);
 * :mod:`~repro.autodiff.executors` -- the trace-and-replay executor for
   ODE right-hand sides (``REPRO_EXECUTOR=replay`` / :func:`set_executor`);
-* :mod:`~repro.autodiff.passes` -- the optimizing pass pipeline (DCE,
-  CSE, constant folding + loop-invariant hoisting) applied to recorded
-  traces at compile time (``REPRO_IR_PASSES=default|none`` /
-  :func:`set_ir_passes`);
 * :mod:`~repro.autodiff.codegen` -- the codegen backend lowering every
   validated no_grad trace to one flat generated Python/numpy kernel.
 """
@@ -42,19 +38,11 @@ from .executors import (
     CompiledGraph,
     get_checkpoint_grads,
     get_executor,
-    get_trace_cache_cap,
     maybe_compile,
     reset_tape_stats,
     set_checkpoint_grads,
     set_executor,
-    set_trace_cache_cap,
     tape_stats,
-)
-from .passes import (
-    get_ir_passes,
-    plan_trace,
-    recent_plans,
-    set_ir_passes,
 )
 from .codegen import (
     CodegenError,
@@ -99,15 +87,9 @@ __all__ = [
     "CompiledFunction",
     "CompiledGraph",
     "mark_static",
-    "get_ir_passes",
-    "set_ir_passes",
-    "plan_trace",
-    "recent_plans",
     "CodegenError",
     "get_codegen",
     "recent_sources",
-    "get_trace_cache_cap",
-    "set_trace_cache_cap",
     "get_checkpoint_grads",
     "set_checkpoint_grads",
     "tape_stats",

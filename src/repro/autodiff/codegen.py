@@ -1,19 +1,19 @@
-"""Codegen backend: lower optimized RHS traces to flat Python/numpy source.
+"""Codegen backend: lower recorded RHS traces to flat Python/numpy source.
 
 Executing a trace op by op pays per-op Python dispatch -- a tuple unpack,
-ref decoding and a closure call for each of the ~dozen body ops of a DHS
+ref decoding and a closure call for each of the ~dozen ops of a DHS
 right-hand side, hundreds of times per dopri5 solve.  Following the
-tinygrad/drjit trace->kernel model, this module takes a graph's post-pass
-schedule (``plan.body`` with CSE-remapped refs and the memoized invariant
-prefix) and emits one flat, shape-specialized Python function per trace:
+tinygrad/drjit trace->kernel model, this module takes a graph's recorded
+ops, in trace order, and emits one flat, shape-specialized Python
+function per trace:
 
 * fused elementwise chains collapse into single numpy expressions
   (single-use float64-closed producers are inlined into their consumer);
 * ops with an ``emit_out`` render rule write into preallocated ``out=``
   buffers bound as closure locals;
-* static externals and the memoized prefix arrays are baked in as closure
-  constants -- safe because anything that swaps them out-of-band bumps
-  the graph epoch, which rebuilds the graph and its kernel;
+* static externals are baked in as closure constants -- safe because
+  anything that swaps them out-of-band bumps the graph epoch, which
+  rebuilds the graph and its kernel;
 * non-static externals are re-read through their live ``.data`` on every
   call, preserving the replay contract for in-place parameter updates;
 * ``time_tensor`` slots become in-place ``fill`` statements on persistent
@@ -22,7 +22,7 @@ prefix) and emits one flat, shape-specialized Python function per trace:
 The source is compiled once with ``compile()``/``exec``.  Under the replay
 executor every validated ``no_grad`` trace runs as such a kernel (trace ->
 validate -> codegen): validation bit-compares the kernel's output against
-the replayed schedule, so the bit-identity contract with eager execution
+the replayed trace, so the bit-identity contract with eager execution
 is enforced per trace, not assumed, and a trace that cannot be lowered or
 whose kernel differs stays eager.  Gradient-mode replays keep the
 fat-node backward.  Generated sources are kept in a ring buffer surfaced
@@ -128,19 +128,15 @@ def recent_sources() -> list[dict]:
 
 
 def build_codegen(graph, tag: str = "") -> tuple:
-    """Lower ``graph``'s optimized no_grad schedule to one flat function.
+    """Lower ``graph``'s no_grad trace to one flat function.
 
     Returns ``(kernel, source)``; ``kernel(t, y_data)`` evaluates the
-    trace body on raw ndarrays and returns a fresh output ndarray, copied
+    trace on raw ndarrays and returns a fresh output ndarray, copied
     when it may view persistent storage (the graph's ``_copy_output``).
     Raises :class:`CodegenError` when the trace cannot be lowered.
     """
     ops = graph.ops
-    plan = graph.plan
-    body = plan.body
-    refs_of = plan.refs
-    if not graph._prefix_ready:
-        graph._eval_prefix()
+    out_buf = graph.out_buf
 
     ns = dict(_BASE_NS)
     const_names: dict[int, str] = {}
@@ -153,24 +149,20 @@ def build_codegen(graph, tag: str = "") -> tuple:
             ns[name] = obj
         return name
 
-    n = len(ops)
-    in_body = [False] * n
-    for i in body:
-        in_body[i] = True
-
     # Sole-consumer analysis for inlining: an op folds into its consumer's
     # expression when it is used exactly once, by an op whose render rule
     # reads each argument once.
+    n = len(ops)
     uses = [0] * n
     consumer = [-1] * n
-    for i in body:
-        for kind, j in refs_of[i]:
-            if kind == "buf" and in_body[j]:
+    for i, op in enumerate(ops):
+        for kind, j in op.refs:
+            if kind == "buf":
                 uses[j] += 1
                 consumer[j] = i
     inline = set()
-    for i in body:
-        if (i != graph.out_slot and uses[i] == 1
+    for i in range(n):
+        if (i != out_buf and uses[i] == 1
                 and ops[i].opcode in _INLINABLE
                 and ops[consumer[i]].opcode not in _MULTI_USE_ARGS):
             inline.add(i)
@@ -182,11 +174,7 @@ def build_codegen(graph, tag: str = "") -> tuple:
 
     def ref_expr(kind: str, j: int) -> str:
         if kind == "buf":
-            if j in inline:
-                return render(j)
-            if in_body[j]:
-                return name_of(j)
-            return const(graph._prefix_vals[j])   # hoisted: baked array
+            return render(j) if j in inline else name_of(j)
         if kind == "in":
             return "y" if graph.inputs[j][0] == "y" else f"t{j}"
         if graph.ext_static[j]:
@@ -196,7 +184,7 @@ def build_codegen(graph, tag: str = "") -> tuple:
     def render(i: int) -> str:
         op = ops[i]
         spec = OPS[op.opcode]
-        args = [ref_expr(kind, j) for kind, j in refs_of[i]]
+        args = [ref_expr(kind, j) for kind, j in op.refs]
         if spec.emit is not None:
             return spec.emit(args, op.attrs, const)
         if spec.forward is None:
@@ -216,37 +204,30 @@ def build_codegen(graph, tag: str = "") -> tuple:
         if not static:
             ns[f"x{j}"] = graph.externals[j]
 
-    if not body:
-        # Whole trace hoisted: the output is the memoized prefix array and
-        # must be copied out of the cache on every call.
-        lines.append(f"return _np.array({const(graph._prefix_vals[graph.out_slot])})")
-    else:
-        for i in body:
-            if i in inline:
-                continue
-            op = ops[i]
-            spec = OPS[op.opcode]
-            if i == graph.out_slot:
-                # The output is always materialised fresh (never a
-                # persistent buffer) and copied when it may view persistent
-                # storage.  Ops that are guaranteed to build a fresh float64
-                # ndarray skip the identity coercion.  It is bound in trace
-                # order because, without dead-code elimination, later ops
-                # may still read it.
-                expr = render(i)
-                if op.opcode not in _F64_FRESH:
-                    expr = f"_asf({expr})"
-                if graph._copy_output:
-                    expr = f"_np.array({expr})"
-                lines.append(f"v{i} = {expr}")
-            elif spec.emit_out is not None:
-                buffered.add(i)
-                ns[f"b{i}"] = np.empty(op.shape)
-                args = [ref_expr(kind, j) for kind, j in refs_of[i]]
-                lines.append(spec.emit_out(args, op.attrs, const, f"b{i}"))
-            else:
-                lines.append(f"v{i} = _asf({render(i)})")
-        lines.append(f"return v{graph.out_slot}")
+    for i, op in enumerate(ops):
+        if i in inline:
+            continue
+        spec = OPS[op.opcode]
+        if i == out_buf:
+            # The output is always materialised fresh (never a persistent
+            # buffer) and copied when it may view persistent storage.  Ops
+            # that are guaranteed to build a fresh float64 ndarray skip the
+            # identity coercion.  It is bound in trace order because later
+            # ops may still read it.
+            expr = render(i)
+            if op.opcode not in _F64_FRESH:
+                expr = f"_asf({expr})"
+            if graph._copy_output:
+                expr = f"_np.array({expr})"
+            lines.append(f"v{i} = {expr}")
+        elif spec.emit_out is not None:
+            buffered.add(i)
+            ns[f"b{i}"] = np.empty(op.shape)
+            args = [ref_expr(kind, j) for kind, j in op.refs]
+            lines.append(spec.emit_out(args, op.attrs, const, f"b{i}"))
+        else:
+            lines.append(f"v{i} = _asf({render(i)})")
+    lines.append(f"return v{out_buf}")
 
     names = sorted(ns)
     unpack = ", ".join(names)
@@ -271,7 +252,7 @@ def build_codegen(graph, tag: str = "") -> tuple:
 
     _SOURCE_LOG.append({
         "tag": tag or "trace",
-        "body_ops": len(body),
+        "ops": n,
         "inlined": len(inline),
         "buffers": len(buffered),
         "source": source,

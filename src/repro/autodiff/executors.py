@@ -36,7 +36,7 @@ bumps):
 ``REPRO_CHECKPOINT_GRADS=on`` (:func:`set_checkpoint_grads`) switches the
 grad-mode replays of step 4 to **checkpointed frames**: the fat node keeps
 only the step inputs (t, y, non-static externals' data versions) and the
-backward walk re-runs the forward schedule to rebuild intermediates.
+backward walk re-runs the recorded ops to rebuild intermediates.
 Traces are cheap to re-execute, so this trades one extra forward per step
 during backward for a tape that grows with step *inputs* instead of
 step *intermediates*; gradients stay bit-identical.
@@ -67,7 +67,6 @@ from .ir import (
     set_recorder,
 )
 from .codegen import CodegenError, build_codegen
-from .passes import log_plan, plan_trace
 from .tensor import Tensor, is_grad_enabled
 from . import tensor as _tensor
 
@@ -77,8 +76,6 @@ __all__ = [
     "maybe_compile",
     "CompiledFunction",
     "CompiledGraph",
-    "get_trace_cache_cap",
-    "set_trace_cache_cap",
     "get_checkpoint_grads",
     "set_checkpoint_grads",
     "tape_stats",
@@ -127,12 +124,12 @@ def set_checkpoint_grads(mode: str) -> None:
 
     When 'on', a gradient replay's fat node stores only the step inputs
     (``t``, ``y`` and the non-static externals' data versions) instead of
-    the full forward value table; the backward walk re-runs the forward
-    schedule to rebuild intermediates.  Peak tape memory drops from
+    the full forward value table; the backward walk re-runs the recorded
+    ops to rebuild intermediates.  Peak tape memory drops from
     O(steps x trace length) to O(steps) in step inputs, at the price of
     one extra forward execution per step during backward.  Gradients stay
-    bit-identical: the recompute runs the same optimized schedule over the
-    same inputs (rebinding a non-static external's ``.data`` between
+    bit-identical: the recompute runs the same recorded ops over the same
+    inputs (rebinding a non-static external's ``.data`` between
     forward and backward raises ``RuntimeError``).
     """
     if mode not in _VALID_CKPT:
@@ -185,7 +182,7 @@ class _CkptFrame:
 
     Stores the step time and the identity/shape of every non-static
     external's data array at forward time; the backward walk rebuilds the
-    forward value table by re-running the schedule on the step's ``y``
+    forward value table by re-running the trace on the step's ``y``
     (read from the fat node's parent data) and verifies the externals were
     not rebound in between.
     """
@@ -200,34 +197,7 @@ class _CkptFrame:
 #: Per-function trace-cache bound.  Sweeps over many shapes (variable-length
 #: batches, bucketed sequence lengths) mint one CompiledGraph per key; the
 #: LRU cap keeps that from growing without limit.
-_CACHE_CAP = int(os.environ.get("REPRO_IR_CACHE_CAP", "64"))
-if _CACHE_CAP < 1:
-    raise ValueError(
-        f"REPRO_IR_CACHE_CAP must be a positive integer, got {_CACHE_CAP}")
-
-
-def get_trace_cache_cap() -> int:
-    """Maximum number of cached trace entries per compiled function."""
-    return _CACHE_CAP
-
-
-def set_trace_cache_cap(cap: int) -> None:
-    """Bound the per-function trace cache (least-recently-used eviction).
-
-    Lowering the cap trims every live :class:`CompiledFunction`
-    immediately (evictions counted in ``ir.cache_evictions``) rather than
-    waiting for the next store, so already-populated caches never sit
-    over-cap.
-    """
-    cap = int(cap)
-    if cap < 1:
-        raise ValueError(f"trace cache cap must be >= 1, got {cap}")
-    global _CACHE_CAP
-    shrunk = cap < _CACHE_CAP
-    _CACHE_CAP = cap
-    if shrunk:
-        for wrapper in list(_WRAPPERS):
-            wrapper._trim_to_cap()
+_CACHE_CAP = 64
 
 
 _REGISTRY = None
@@ -294,77 +264,46 @@ class CompiledGraph:
         self._y_slots = [j for j, (kind, _, _) in enumerate(self.inputs)
                          if kind == "y"]
 
-        # Optimizing passes (DCE / CSE / invariant hoisting): compute the
-        # execution schedule once; the invariant prefix is materialised
-        # lazily on the first replay and then shared by every call.
-        self.plan = plan_trace(self.ops, self.externals, self.ext_static,
-                               out_buf)
-        self.out_slot = self.plan.out_slot
-        self._prefix_vals: dict[int, np.ndarray] = {}
-        self._prefix_ready = False
-        self._out_in_prefix = self.out_slot in set(self.plan.prefix)
-        stats = self.plan.stats
-        reg = _registry()
-        if reg.enabled and stats.enabled:
-            reg.inc("ir.pass_dce_removed", stats.dce_removed)
-            reg.inc("ir.pass_cse_merged", stats.cse_merged)
-            reg.inc("ir.hoisted_ops", stats.hoisted)
-        log_plan("grad" if grad_mode else "no_grad", stats)
-
         self._plan_outputs()
         #: Generated ``no_grad`` kernel, installed by validation.
         self.kernel = None
 
     # -- compile-time planning -----------------------------------------
     def _plan_outputs(self) -> None:
-        """Output-copy rules and grad-frame sizes for the per-call body.
-
-        Runs over ``plan.body`` with the pass-remapped refs, so refs into
-        the invariant prefix read the memoized prefix arrays.
-        """
+        """Output-copy rules and grad-frame sizes."""
         ops = self.ops
-        plan = self.plan
-        body = plan.body
-        refs_of = plan.refs
         n = len(ops)
-        in_prefix = [False] * n
-        for i in plan.prefix:
-            in_prefix[i] = True
         # A view's output may alias storage that outlives the call: an
-        # input slot, an external's live ``.data``, a memoized prefix
-        # array, or -- for the generated kernel -- the persistent buffer
-        # it keeps for every ``emit_out`` op but the output's.
+        # input slot, an external's live ``.data``, or -- for the
+        # generated kernel -- the persistent buffer it keeps for every
+        # ``emit_out`` op but the output's.
         kernel_buf = [False] * n
         aliases = [False] * n        # the generated no_grad kernel
-        galiases = [False] * n       # grad replays: fresh body arrays
-        for i in body:
-            op = ops[i]
+        galiases = [False] * n       # grad replays: fresh op arrays
+        for i, op in enumerate(ops):
             if op.opcode in _VIEW_OPCODES:
-                kind, j = refs_of[i][0]
-                persistent = kind != "buf" or in_prefix[j]
+                kind, j = op.refs[0]
+                persistent = kind != "buf"
                 aliases[i] = persistent or kernel_buf[j] or aliases[j]
                 galiases[i] = persistent or galiases[j]
-            kernel_buf[i] = (i != self.out_slot
+            kernel_buf[i] = (i != self.out_buf
                              and OPS[op.opcode].emit_out is not None)
         # An output living in (or viewing) such storage must be copied
         # out: the caller may hold it across replays and must never share
-        # storage with the kernel's buffers or the memoized arrays, and
-        # mutating it must not corrupt later replays.
-        self._copy_output = ((self._out_in_prefix or aliases[self.out_slot])
-                             if n else False)
-        self._copy_grad_output = ((self._out_in_prefix
-                                   or galiases[self.out_slot])
-                                  if n else False)
+        # storage with the kernel's buffers, and mutating it must not
+        # corrupt later replays.
+        self._copy_output = aliases[self.out_buf]
+        self._copy_grad_output = galiases[self.out_buf]
         # Frame storage accounting for grad replays: a full frame retains
-        # the step input y, every non-view body intermediate and the fresh
+        # the step input y, every non-view intermediate and the fresh
         # time buffers; a checkpointed frame retains only the step input
         # (views share their base's storage, so they are not counted).
         y_elems = (int(np.prod(self.inputs[self._y_slots[0]][1]))
                    if self._y_slots else 0)
-        body_elems = sum(int(np.prod(ops[i].shape)) for i in body
-                         if ops[i].opcode not in _VIEW_OPCODES)
+        op_elems = sum(int(np.prod(op.shape)) for op in ops
+                       if op.opcode not in _VIEW_OPCODES)
         t_elems = sum(int(np.prod(shape)) for _, shape in self._t_slots)
-        self._full_frame_bytes = 8 * (y_elems + body_elems + t_elems)
+        self._full_frame_bytes = 8 * (y_elems + op_elems + t_elems)
         self._ckpt_frame_bytes = 8 * y_elems
         self._nonstatic_ext = tuple(
             j for j, static in enumerate(self.ext_static) if not static)
@@ -378,56 +317,21 @@ class CompiledGraph:
             else externals[j].data
             for kind, j in refs)
 
-    def _eval_prefix(self) -> None:
-        """Execute the loop-invariant prefix once and memoize its buffers.
-
-        Prefix ops read only static externals (and each other), so the
-        results hold for the lifetime of this graph -- i.e. until the next
-        graph-epoch bump rebuilds it.  The generated kernel bakes these
-        arrays in, and grad replays start from this cached frontier.
-        """
-        plan = self.plan
-        pv = self._prefix_vals
-        externals = self.externals
-        asarray = np.asarray
-        for i in plan.prefix:
-            op = self.ops[i]
-            ins = tuple(pv[j] if kind == "buf" else externals[j].data
-                        for kind, j in plan.refs[i])
-            pv[i] = asarray(OPS[op.opcode].forward(ins, op.attrs),
-                            dtype=np.float64)
-        self._prefix_ready = True
-        if plan.prefix:
-            _inc("ir.hoist_prefix_evals")
-
     def run_values(self, inarrs) -> list:
-        """Fresh-array execution of the optimized schedule (validation +
-        grad replays).
-
-        The returned table is indexed by *original* op ids so the backward
-        walk can traverse the unmodified trace: prefix slots point at the
-        memoized arrays, CSE duplicates alias their representative, dead
-        slots stay ``None`` (backward never reaches them).
-        """
-        if not self._prefix_ready:
-            self._eval_prefix()
-        plan = self.plan
+        """Fresh-array execution of every recorded op, in trace order
+        (validation + grad replays); the value table is indexed by op id,
+        as the backward walk reads it."""
         externals = self.externals
         vals: list = [None] * len(self.ops)
-        for i in plan.prefix:
-            vals[i] = self._prefix_vals[i]
         asarray = np.asarray
-        for i in plan.body:
-            op = self.ops[i]
+        for i, op in enumerate(self.ops):
             ins = tuple(
                 vals[j] if kind == "buf"
                 else inarrs[j] if kind == "in"
                 else externals[j].data
-                for kind, j in plan.refs[i])
+                for kind, j in op.refs)
             vals[i] = asarray(OPS[op.opcode].forward(ins, op.attrs),
                               dtype=np.float64)
-        for dup, rep in plan.alias_fills:
-            vals[dup] = vals[rep]
         return vals
 
     def fill_inputs(self, t: float, y_data: np.ndarray) -> list:
@@ -446,7 +350,7 @@ class CompiledGraph:
             reg.inc("ir.codegen_calls")
         profiler = _tensor._PROFILER
         if profiler is not None:
-            profiler._record_replay(len(self.plan.body))
+            profiler._record_replay(len(self.ops))
         # fast-path Tensor construction: data is already a float64 ndarray
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -482,7 +386,7 @@ class CompiledGraph:
                                out.data)
         profiler = _tensor._PROFILER
         if profiler is not None:
-            profiler._record_replay(len(self.plan.body))
+            profiler._record_replay(len(self.ops))
         return out
 
     def backward(self, g: np.ndarray, frame, ins=()) -> tuple:
@@ -497,11 +401,11 @@ class CompiledGraph:
         read sums exactly as under eager.
 
         ``ins`` is the fat node's parent data (``ins[0]`` = the step input
-        ``y``); a checkpointed frame uses it to re-run the forward schedule
-        and rebuild the value table the reverse walk reads.  The recompute
-        follows the exact path the forward took (same optimized schedule,
-        same memoized prefix), so gradients stay bit-identical to the
-        uncheckpointed replay — and therefore to eager.
+        ``y``); a checkpointed frame uses it to re-run the recorded ops and
+        rebuild the value table the reverse walk reads.  The recompute
+        follows the exact path the forward took, so gradients stay
+        bit-identical to the uncheckpointed replay — and therefore to
+        eager.
         """
         if isinstance(frame, _CkptFrame):
             for j, (ident, shape) in zip(self._nonstatic_ext,
@@ -518,7 +422,7 @@ class CompiledGraph:
             inarrs = self.fill_inputs(frame.t, ins[0])
             vals = self.run_values(inarrs)
             _inc("ir.ckpt_recomputes")
-            _inc("ir.ckpt_recomputed_ops", len(self.plan.body))
+            _inc("ir.ckpt_recomputed_ops", len(self.ops))
             _tape_release(self._ckpt_frame_bytes)
         else:
             vals, inarrs = frame
@@ -553,7 +457,7 @@ class CompiledGraph:
 
     # -- introspection ---------------------------------------------------
     def dump(self) -> list[str]:
-        """Human-readable listing of the recorded trace with pass verdicts."""
+        """Human-readable listing of the recorded trace."""
         def show(ref):
             kind, j = ref
             if kind == "buf":
@@ -563,62 +467,40 @@ class CompiledGraph:
             name = getattr(self.externals[j], "name", "")
             return f"ext{j}" + (f":{name}" if name else "")
 
-        plan = self.plan
-        in_prefix = set(plan.prefix)
-        rep_of = dict(plan.alias_fills)
-        live = in_prefix | set(plan.body) | set(rep_of)
         lines = []
         for i, op in enumerate(self.ops):
             args = ", ".join(show(r) for r in op.refs)
             tag = " [diff]" if self.diff[i] else ""
-            if plan.stats.enabled:
-                if i in in_prefix:
-                    tag += " [hoisted]"
-                elif i in rep_of:
-                    tag += f" [cse -> %{rep_of[i]}]"
-                elif i not in live:
-                    tag += " [dead]"
             lines.append(f"%{i} = {op.opcode}({args}) shape={op.shape}{tag}")
         lines.append(f"return %{self.out_buf}")
         return lines
 
 
-#: Every live CompiledFunction, so a cap change can trim populated caches
-#: immediately.  A WeakSet (rather than walking ``_COMPILED``) also covers
-#: wrappers constructed directly or kept for unhashable callables.
-_WRAPPERS: "weakref.WeakSet" = weakref.WeakSet()
-
-
 class CompiledFunction:
     """Trace cache wrapped around one ODE right-hand side ``func(t, y)``.
 
-    Entries live in an LRU-ordered mapping bounded by the trace-cache cap
-    (``REPRO_IR_CACHE_CAP`` / :func:`set_trace_cache_cap`): sweeps over
-    many shape keys evict the least-recently-used graph instead of growing
-    without limit.
+    Entries live in an LRU-ordered mapping bounded by ``_CACHE_CAP``:
+    sweeps over many shape keys evict the least-recently-used graph
+    instead of growing without limit.
     """
 
-    __slots__ = ("func", "entries", "_epoch", "__weakref__")
+    __slots__ = ("func", "entries", "_epoch")
 
     def __init__(self, func):
         self.func = func
         self.entries: OrderedDict = OrderedDict()
         self._epoch = graph_epoch()
-        _WRAPPERS.add(self)
 
     def _tag(self) -> str:
         f = self.func
         return getattr(f, "__qualname__", None) or type(f).__name__
 
-    def _trim_to_cap(self) -> None:
-        while len(self.entries) > _CACHE_CAP:
-            self.entries.popitem(last=False)
-            _inc("ir.cache_evictions")
-
     def _store(self, key, entry) -> None:
         self.entries[key] = entry
         self.entries.move_to_end(key)
-        self._trim_to_cap()
+        while len(self.entries) > _CACHE_CAP:
+            self.entries.popitem(last=False)
+            _inc("ir.cache_evictions")
 
     def __call__(self, t, y):
         if _MODE != "replay" or not isinstance(y, Tensor) \
@@ -670,8 +552,6 @@ class CompiledFunction:
     def _validate(self, key, graph, t, y):
         _inc("ir.replay_misses")
         out = self.func(t, y)
-        # run_values goes through the optimized schedule, so the bit-compare
-        # also vets the pass pipeline's rewrite of this trace.
         replayed = graph.run_values(
             graph.fill_inputs(t, y.data))[graph.out_buf]
         if not (isinstance(out, Tensor)

@@ -119,7 +119,7 @@ class OpSpec:
     ``emit`` / ``emit_out`` (optional) are the codegen render rules: they
     return Python source replicating ``forward`` exactly, as an
     expression or as a statement writing into a preallocated buffer, so a
-    generated kernel stays bit-identical to the replayed schedule (see
+    generated kernel stays bit-identical to the replayed trace (see
     :mod:`repro.autodiff.codegen`).  Ops without render rules fall back to
     a closure call on ``forward`` in the generated source.
     """
@@ -213,9 +213,10 @@ class TraceRecorder:
 
         Such tensors are trace-local constants (re-created from the same
         literals on every eager call, identical across replays); if one is
-        captured as a non-grad external, the optimizing passes may treat it
-        as static and constant-fold the ops consuming it.  Keeping a strong
-        reference also guards the id-keyed external index against reuse.
+        captured as a non-grad external, it counts as static, so the
+        generated kernel bakes its array in as a constant.  Keeping a
+        strong reference also guards the id-keyed external index against
+        reuse.
         """
         self._transient[id(tensor)] = tensor
 
@@ -733,7 +734,7 @@ register_op("replay", None,
 # ---------------------------------------------------------------------------
 # codegen render rules
 # ---------------------------------------------------------------------------
-# The codegen backend (:mod:`repro.autodiff.codegen`) lowers an optimized
+# The codegen backend (:mod:`repro.autodiff.codegen`) lowers a recorded
 # trace to flat Python/numpy source.  ``emit(args, attrs, const)`` renders
 # an op as an expression over already-rendered argument expressions;
 # ``emit_out(args, attrs, const, out)`` renders a statement writing into
@@ -742,7 +743,7 @@ register_op("replay", None,
 # attrs are baked by object identity rather than re-parsed from reprs.
 # Every rule must replicate the forward rule's numpy call sequence
 # exactly: the validation step bit-compares kernel output against the
-# replayed schedule, and a kernel that differs pins its trace to eager.  Helper names (``_np``, ``_add``, ``_whr``, ...)
+# replayed trace, and a kernel that differs pins its trace to eager.  Helper names (``_np``, ``_add``, ``_whr``, ...)
 # are provided by the codegen base namespace (``codegen._BASE_NS``).
 
 def _emit_transpose(a, at, c):

@@ -109,7 +109,7 @@ class TapeProfiler:
         self._last_ts = time.perf_counter()
 
     def _record_replay(self, n_ops: int) -> None:
-        """One compiled-trace replay executed ``n_ops`` body ops.
+        """One compiled-trace replay executed ``n_ops`` recorded ops.
 
         Replays (generated kernels for ``no_grad`` keys, fat-node replays
         for gradient keys) bypass ``tensor.apply`` so they are counted in

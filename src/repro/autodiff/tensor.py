@@ -132,8 +132,8 @@ class Tensor:
         recorder = _TRACE.recorder
         if recorder is not None:
             # A tensor born inside a traced call is a trace-local constant
-            # (its data cannot change between replays of that trace); the
-            # optimizer may fold/hoist ops that consume it.
+            # (its data cannot change between replays of that trace), so
+            # the generated kernel may bake it in.
             recorder.note_transient(self)
 
     # ------------------------------------------------------------------
@@ -476,11 +476,12 @@ def mark_static(tensor: Tensor) -> Tensor:
     be rebound) until the next :func:`~repro.autodiff.ir.bump_graph_epoch`
     call -- the contract bind-time constants such as the DHS attention
     contexts already satisfy, since ``DHSDynamics.bind`` bumps the epoch
-    when it installs new ones.  The trace-optimization passes
-    (:mod:`repro.autodiff.passes`) use the flag to prove loop invariance:
-    only ops fed exclusively by static externals may be folded into the
-    once-per-epoch prefix.  Never mark trainable parameters that an
-    optimizer updates in place.
+    when it installs new ones.  A compiled trace relies on the promise in
+    two places: the generated ``no_grad`` kernel bakes a static tensor's
+    array in as a constant instead of re-reading ``.data`` per call, and
+    a checkpointed gradient frame skips the check that the tensor was not
+    rebound between forward and backward.  Never mark trainable
+    parameters that an optimizer updates in place.
 
     Returns the tensor for chaining.
     """

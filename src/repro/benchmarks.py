@@ -1,5 +1,5 @@
 """Benchmark targets: ``python -m repro.benchmarks
-[solver|parallel|ir|passes|batching|memory|streaming|serving]``.
+[solver|parallel|ir|batching|memory|streaming|serving]``.
 
 ``solver`` (the default) runs a representative dopri5 workload (a batch of
 decays whose rates span two orders of magnitude, read out on an irregular
@@ -32,16 +32,6 @@ observation grids with varied windows: NFE per sample under
 solve each, per-sample dense readout) vs
 :func:`repro.parallel.padded_shard_solve`, plus a tolerance check that
 the two drivers' outputs agree.
-
-``passes`` measures the trace-optimization pipeline (``BENCH_passes.json``):
-the batch-16 DHS dynamics microbench written the *naive* way -- the
-Eq. 32/34 context math ((Z^T)^+ via the Gram inverse, the null projector,
-``A_p J``, the denominators, the ``h2`` slice) re-derived inside the RHS
-on every call, exactly the invariant subgraph ``ContextState.build``
-precomputes by hand.  It replays the solve under ``REPRO_IR_PASSES=none``
-and ``default`` and reports the NFE-normalized replay-RHS speedup from
-hoisting that derivation, a bit-compare of the two solutions, and an
-eager-vs-optimized-replay bit-compare of the gradients.
 
 ``streaming`` measures the incremental online-inference path
 (``BENCH_streaming.json``): one long drifting series of 100 to 5000
@@ -95,7 +85,7 @@ from .odeint import SolverOptions, solve
 
 __all__ = ["solver_workload", "run_current_solver", "run_seed_emulation",
            "run", "parallel_workload", "run_parallel", "ir_workload",
-           "run_ir", "passes_workload", "run_passes", "batching_workloads",
+           "run_ir", "batching_workloads",
            "run_batching", "run_memory", "run_streaming", "run_serving",
            "main"]
 
@@ -295,25 +285,21 @@ def run_parallel(out_path: str | pathlib.Path = "BENCH_parallel.json",
 
 
 @contextlib.contextmanager
-def _modes(executor: str, ir_passes: str | None = None,
-           checkpoint_grads: str | None = None):
+def _modes(executor: str, checkpoint_grads: str | None = None):
     """Run the block under the given execution modes, then restore the
     caller's: a benchmark leaves the process's settings as it found them."""
-    from .autodiff import (get_checkpoint_grads, get_executor, get_ir_passes,
-                           set_checkpoint_grads, set_executor, set_ir_passes)
+    from .autodiff import (get_checkpoint_grads, get_executor,
+                           set_checkpoint_grads, set_executor)
 
-    prev = get_executor(), get_ir_passes(), get_checkpoint_grads()
+    prev = get_executor(), get_checkpoint_grads()
     set_executor(executor)
     try:
-        if ir_passes is not None:
-            set_ir_passes(ir_passes)
         if checkpoint_grads is not None:
             set_checkpoint_grads(checkpoint_grads)
         yield
     finally:
         set_executor(prev[0])
-        set_ir_passes(prev[1])
-        set_checkpoint_grads(prev[2])
+        set_checkpoint_grads(prev[1])
 
 
 def ir_workload(batch: int = 16, hidden: int = 16, seed: int = 3):
@@ -444,204 +430,6 @@ def _main_ir(out: str) -> int:
           f"{cache['replay_hits']:.0f} hits / "
           f"{cache['replay_misses']:.0f} misses "
           f"(hit rate {cache['hit_rate']:.1%})")
-    print(f"  wrote {out}")
-    return 0
-
-
-def passes_workload(batch: int = 16, n: int = 48, d: int = 8,
-                    hidden: int = 32, seed: int = 5):
-    """Batch-16 DHS dynamics written the naive way: the Eq. 32/34 context
-    math -- (Z^T)^+ via the Gram inverse, the null-space projector, the
-    correction vector and its denominator -- is re-derived from the raw
-    observation tensors inside every RHS call instead of being precomputed
-    once at bind time the way :meth:`~repro.core.dhs.ContextState.build`
-    does it.
-    That derivation only touches static-marked tensors, so it is exactly
-    the invariant prefix the optimizing passes are expected to hoist; the
-    p-solve, recovery and Eq. 12 coupling stay in the per-call body."""
-    from .autodiff import concat, mark_static, time_tensor
-
-    rng = np.random.default_rng(seed)
-    # Observation-side tensors: fixed between binds, so static.
-    z = mark_static(Tensor(rng.standard_normal((batch, n, d)) * 0.4,
-                           name="z"))
-    ridge = mark_static(Tensor(np.eye(d) * 1e-4, name="ridge"))
-    eye_n = mark_static(Tensor(np.eye(n), name="eye_n"))
-    ones = mark_static(Tensor(np.ones((1, n, 1)), name="ones"))
-    # Trainable leaves: gradients must survive the rewrite bit-for-bit.
-    h2 = mark_static(Tensor(rng.normal(scale=0.1, size=(1, n)),
-                            requires_grad=True, name="h2"))
-    w1 = Tensor(rng.standard_normal((d + 1, hidden)) * 0.2,
-                requires_grad=True, name="w1")
-    b1 = Tensor(rng.standard_normal((1, hidden)) * 0.1,
-                requires_grad=True, name="b1")
-    w2 = Tensor(rng.standard_normal((hidden, d)) * 0.1,
-                requires_grad=True, name="w2")
-    scale = 1.0 / np.sqrt(d)
-
-    def rhs(t, s):
-        # -- invariant prefix: ContextState's bind-time math, inlined ----
-        zt = z.transpose()                        # (B, d, n)
-        gram = zt @ z + ridge                     # (B, d, d)
-        zt_pinv = z @ gram.inv()                  # (B, n, d)
-        a_null = eye_n - zt_pinv @ zt             # (B, n, n)
-        a_ones = (a_null @ ones)[:, :, 0]         # (B, n)
-        denom = a_ones.sum(axis=-1, keepdims=True) + 1e-9
-        # -- per-call body: p-solve, recovery, Eq. 12 coupling -----------
-        b = (zt_pinv @ s[:, :, None])[:, :, 0]    # (B, n)
-        excess = b.sum(axis=-1, keepdims=True) - 1.0
-        p = b - a_ones * (excess / denom)
-        z_t = ((p * h2)[:, None, :] @ z)[:, 0, :]  # (B, d)
-        tt = time_tensor(t, (batch, 1))
-        dz = ((concat([z_t, tt], axis=-1) @ w1 + b1).tanh()) @ w2
-        zw = z * p[:, :, None]
-        m1 = zw.transpose() @ z                   # (B, d, d)
-        s_tilde = p[:, None, :] @ z               # (B, 1, d)
-        m2 = s_tilde.transpose() @ s_tilde
-        coupling = (m1 - m2) * scale
-        return (dz[:, None, :] @ coupling)[:, 0, :]
-
-    s0 = rng.standard_normal((batch, d)) * 0.3
-    params = {"h2": h2, "w1": w1, "b1": b1, "w2": w2}
-    return rhs, s0, params
-
-
-def _solve_passes(pass_mode: str):
-    """One no_grad replay dopri5 solve of the passes workload under
-    ``pass_mode``; returns (solution, nfev, seconds, ir.* counters)."""
-    from .telemetry import get_registry
-
-    rhs, s0, _ = passes_workload()
-    times = np.linspace(0.0, 1.0, 6)
-    reg = get_registry()
-    reg.reset()
-    reg.enable()
-    try:
-        with _modes("replay", ir_passes=pass_mode), no_grad():
-            start = time.perf_counter()
-            solution = solve(rhs, Tensor(s0), times, method="dopri5",
-                             options=SolverOptions(rtol=RTOL, atol=ATOL))
-            sol, stats = solution.ys, solution.stats
-            elapsed = time.perf_counter() - start
-        counters = {name: c.value for name, c in reg.counters.items()
-                    if name.startswith("ir.")}
-    finally:
-        reg.disable()
-        reg.reset()
-    return sol.data.copy(), stats.nfev, elapsed, counters
-
-
-def _passes_grads(use_replay: bool) -> dict:
-    """Gradient snapshot of ``sum(rhs(0.5, s))`` w.r.t. the state and every
-    trainable leaf -- eager tape, or the optimized fat-node replay."""
-    from .autodiff import CompiledFunction
-
-    rhs, s0, params = passes_workload()
-    s = Tensor(s0, requires_grad=True, name="s")
-    if not use_replay:
-        out = rhs(0.5, s)
-        out.backward(np.ones_like(out.data))
-    else:
-        compiled = CompiledFunction(rhs)
-        with _modes("replay", ir_passes="default"):
-            compiled(0.5, s)            # trace
-            compiled(0.5, s)            # validate (bit-compare vs eager)
-            out = compiled(0.5, s)      # optimized replay -> fat node
-            out.backward(np.ones_like(out.data))
-    grads = {"s": np.array(s.grad, copy=True)}
-    for name, p in params.items():
-        grads[name] = np.array(p.grad, copy=True)
-    return grads
-
-
-def run_passes(out_path: str | pathlib.Path = "BENCH_passes.json",
-               calls: int = 200) -> dict:
-    from .autodiff import CompiledFunction
-
-    # -- replay-RHS microbenchmark per pass mode -----------------------
-    rhs_us = {}
-    for pass_mode in ("none", "default"):
-        rhs, s0, _ = passes_workload()
-        s = Tensor(s0)
-        compiled = CompiledFunction(rhs)
-        with _modes("replay", ir_passes=pass_mode):
-            with no_grad():
-                compiled(0.5, s)        # trace
-                compiled(0.5, s)        # validate, lower to the kernel
-            rhs_us[pass_mode] = _time_rhs_calls(compiled, s, calls) * 1e6
-
-    # -- full dopri5 replay solve, passes off vs on --------------------
-    sol_off, nfev_off, off_s, _ = _solve_passes("none")
-    sol_on, nfev_on, on_s, counters = _solve_passes("default")
-    off_per_nfe = off_s / nfev_off
-    on_per_nfe = on_s / nfev_on
-
-    # -- gradient bit-identity: eager tape vs optimized replay ---------
-    g_eager = _passes_grads(use_replay=False)
-    g_replay = _passes_grads(use_replay=True)
-    grad_diff = max(float(np.abs(g_eager[k] - g_replay[k]).max())
-                    for k in g_eager)
-    grad_bit_identical = all(np.array_equal(g_eager[k], g_replay[k])
-                             for k in g_eager)
-
-    payload = {
-        "workload": ("batch-16 naive DHS dynamics (n=48, d=8): Eq. 32/34 "
-                     "context math re-derived inside the RHS, 6 readouts "
-                     "over t in [0, 1]"),
-        "rhs_calls": calls,
-        "rhs": {
-            "passes_off_us": rhs_us["none"],
-            "passes_on_us": rhs_us["default"],
-            "rhs_speedup": rhs_us["none"] / rhs_us["default"],
-        },
-        "solve": {
-            "nfev": nfev_off,
-            "nfev_passes_on": nfev_on,
-            "passes_off_seconds": off_s,
-            "passes_on_seconds": on_s,
-            "passes_off_us_per_nfe": off_per_nfe * 1e6,
-            "passes_on_us_per_nfe": on_per_nfe * 1e6,
-            "speedup_per_nfe": off_per_nfe / on_per_nfe,
-            "max_abs_diff": float(np.abs(sol_off - sol_on).max()),
-        },
-        "grads": {
-            "max_abs_diff": grad_diff,
-            "bit_identical": grad_bit_identical,
-            "leaves": sorted(g_eager),
-        },
-        "pass_stats": {
-            "hoisted_ops": counters.get("ir.hoisted_ops", 0.0),
-            "cse_merged": counters.get("ir.pass_cse_merged", 0.0),
-            "dce_removed": counters.get("ir.pass_dce_removed", 0.0),
-            "hoist_prefix_evals": counters.get("ir.hoist_prefix_evals", 0.0),
-            "replay_hits": counters.get("ir.replay_hits", 0.0),
-        },
-    }
-    path = pathlib.Path(out_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def _main_passes(out: str) -> int:
-    payload = run_passes(out)
-    rhs, solve = payload["rhs"], payload["solve"]
-    grads, stats = payload["grads"], payload["pass_stats"]
-    print(f"replay RHS microbenchmark ({payload['rhs_calls']} calls, "
-          f"no_grad)")
-    print(f"  passes off: {rhs['passes_off_us']:8.1f} us/call")
-    print(f"  passes on:  {rhs['passes_on_us']:8.1f} us/call  "
-          f"({rhs['rhs_speedup']:.2f}x)")
-    print(f"dopri5 replay solve (nfev={solve['nfev']})")
-    print(f"  passes off: {solve['passes_off_us_per_nfe']:8.1f} us/NFE")
-    print(f"  passes on:  {solve['passes_on_us_per_nfe']:8.1f} us/NFE  "
-          f"({solve['speedup_per_nfe']:.2f}x)  "
-          f"max|diff|={solve['max_abs_diff']:.1e}")
-    print(f"  grads: max|diff|={grads['max_abs_diff']:.1e}  "
-          f"bit_identical={grads['bit_identical']}")
-    print(f"  passes: {stats['hoisted_ops']:.0f} hoisted, "
-          f"{stats['cse_merged']:.0f} cse, {stats['dce_removed']:.0f} dce, "
-          f"{stats['hoist_prefix_evals']:.0f} prefix evals")
     print(f"  wrote {out}")
     return 0
 
@@ -1393,9 +1181,6 @@ def main(argv: list[str] | None = None) -> int:
                             else "BENCH_solver.json")
     if target == "ir":
         return _main_ir(argv[1] if len(argv) > 1 else "BENCH_ir.json")
-    if target == "passes":
-        return _main_passes(argv[1] if len(argv) > 1
-                            else "BENCH_passes.json")
     if target == "batching":
         return _main_batching(argv[1] if len(argv) > 1
                               else "BENCH_batching.json")

@@ -11,7 +11,7 @@ Examples::
     python -m repro.cli train --model DIFFODE --dataset synthetic \
         --executor replay
     python -m repro.cli train --model DIFFODE --dataset synthetic \
-        --executor replay --ir-passes none
+        --executor replay --checkpoint-grads on
     python -m repro.cli evaluate --checkpoint diffode.npz \
         --dataset synthetic
     python -m repro.cli profile --model DIFFODE --dataset synthetic \
@@ -33,7 +33,7 @@ import contextlib
 
 import numpy as np
 
-from .autodiff import set_checkpoint_grads, set_executor, set_ir_passes
+from .autodiff import set_checkpoint_grads, set_executor
 from .data import Dataset, batch_iter, train_val_test_split
 from .experiments import (
     ALL_MODELS,
@@ -92,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="autodiff executor for ODE right-hand sides "
                             "(default: REPRO_EXECUTOR env or eager); "
                             "gradient workers inherit the choice")
-    train.add_argument("--ir-passes", default=None, dest="ir_passes",
-                       choices=["default", "none"],
-                       help="trace-optimization passes under the replay "
-                            "executor (default: REPRO_IR_PASSES env or "
-                            "'default'; 'none' replays raw traces)")
     train.add_argument("--adjoint", action="store_true",
                        help="differentiate the ODE solve with the "
                             "continuous adjoint (O(state) memory, "
@@ -124,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--executor", default=None,
                     choices=["eager", "replay"],
                     help="autodiff executor for ODE right-hand sides")
-    ev.add_argument("--ir-passes", default=None, dest="ir_passes",
-                    choices=["default", "none"],
-                    help="trace-optimization passes under the replay "
-                         "executor")
 
     prof = sub.add_parser(
         "profile",
@@ -157,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--executor", default=None,
                       choices=["eager", "replay"],
                       help="autodiff executor for ODE right-hand sides")
-    prof.add_argument("--ir-passes", default=None, dest="ir_passes",
-                      choices=["default", "none"],
-                      help="trace-optimization passes under the replay "
-                           "executor")
     prof.add_argument("--adjoint", action="store_true",
                       help="differentiate the ODE solve with the "
                            "continuous adjoint (DIFFODE only)")
@@ -451,20 +438,12 @@ def _cmd_profile(args) -> int:
         print("\nIR executor counters:")
         for name, value in sorted(ir_counters.items()):
             print(f"  {name}: {int(value)}")
-        from .autodiff import recent_plans, recent_sources
-        plans = recent_plans()
-        if plans:
-            print("compiled traces (pass pipeline, most recent):")
-            for row in plans[-8:]:
-                print(f"  {row['graph']:<8} {row['ops_in']:>4} ops -> "
-                      f"{row['body_ops']:>4} body  "
-                      f"(dce {row['dce_removed']}, cse {row['cse_merged']}, "
-                      f"hoisted {row['hoisted']})")
+        from .autodiff import recent_sources
         sources = recent_sources()
         if sources:
             print("generated codegen kernels (most recent):")
             for row in sources[-4:]:
-                print(f"  --- {row['tag']} ({row['body_ops']} body ops, "
+                print(f"  --- {row['tag']} ({row['ops']} ops, "
                       f"{row['inlined']} inlined, "
                       f"{row['buffers']} buffers) ---")
                 for line in row["source"].splitlines():
@@ -599,8 +578,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "executor", None):
         set_executor(args.executor)
-    if getattr(args, "ir_passes", None):
-        set_ir_passes(args.ir_passes)
     if getattr(args, "checkpoint_grads", None):
         set_checkpoint_grads(args.checkpoint_grads)
     handlers = {"train": _cmd_train, "evaluate": _cmd_evaluate,

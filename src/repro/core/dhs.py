@@ -188,8 +188,8 @@ class ContextState:
         self._a_ones.name = "dhs_a_ones"
         self._denom.name = "dhs_denom"
         # Contexts are bind-time constants: DHSDynamics.bind bumps the
-        # graph epoch when new ones are installed, so the trace optimizer
-        # may hoist any op that consumes only these tensors.
+        # graph epoch when new ones are installed, so a generated kernel
+        # may bake them in as constants.
         for t in (self.z, self.zt_pinv, self._a_ones, self._denom,
                   self.mask_t):
             mark_static(t)

@@ -67,7 +67,7 @@ class DHSDynamics(Module):
         # re-recording a getitem per RHS call; gradients still reach h/h2
         # through each slice's tape node.  The slices are bind-time
         # constants (the optimizer only steps between binds), so they are
-        # marked static for the trace hoister.
+        # marked static: a generated kernel bakes them in.
         slices: dict[int, tuple[Tensor, Tensor]] = {}
         for ctx in contexts:
             if ctx.n > self.h.shape[0]:
@@ -174,7 +174,7 @@ class AugmentedDynamics(Module):
         a, b = hippo_legt(hippo_dim, theta=window)
         # Constant tensors (not per-call ``Tensor(...)`` wraps) so replayed
         # traces hold stable externals and eager calls allocate less; the
-        # HiPPO matrices never change, so they are static for the hoister.
+        # HiPPO matrices never change, so they are marked static.
         self._a_t = mark_static(Tensor(a.T.copy(), name="hippo_a_t"))
         self._b = mark_static(Tensor(b.copy(), name="hippo_b"))
         self.w_r = Linear(info_dim, 1, rng)

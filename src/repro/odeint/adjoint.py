@@ -48,11 +48,8 @@ def _vjp(rhs: Callable, params: list, t: float, y_value: np.ndarray,
     ``rhs`` is the (possibly replay-compiled) right-hand side; the adjoint
     sweep rebuilds this one-step graph at every augmented evaluation, which
     is exactly the pattern the trace cache collapses to a single fat node.
-    Both this grad-mode call and ``aug_dynamics``'s plain ``no_grad`` call
-    compile to their own trace, and with the optimizing passes enabled the
-    two graphs each memoize the invariant prefix of the RHS -- so the
-    hoisted context math is paid twice per backward sweep total, not twice
-    per augmented evaluation.
+    This grad-mode call and ``aug_dynamics``'s plain ``no_grad`` call each
+    compile to their own trace.
     """
     for p in params:
         p.zero_grad()

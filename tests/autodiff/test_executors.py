@@ -1,5 +1,6 @@
 """Trace-and-replay executor: lifecycle, bit-identity with eager, fallback,
-and the generated kernels that serve every validated no_grad replay."""
+the LRU trace cache, and the generated kernels that serve every validated
+no_grad replay."""
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.autodiff import (
 )
 from repro.autodiff import executors as executors_mod
 from repro.autodiff.codegen import CodegenError
+from repro.core import P_SOLVERS, ContextState, DHSDynamics
 from repro.telemetry import get_registry
 
 _floats = st.floats(min_value=-3.0, max_value=3.0,
@@ -202,7 +204,7 @@ class TestLifecycle:
         assert counters.counter("ir.codegen_fallbacks").value == 0
         entry = recent_sources()[-1]
         assert "def _kernel(t, y):" in entry["source"]
-        assert entry["body_ops"] > 0
+        assert entry["ops"] > 0
 
     def test_lowering_failure_pins_key_to_eager(self, replay_mode,
                                                 counters, monkeypatch):
@@ -427,10 +429,77 @@ class TestBitIdentity:
         np.testing.assert_array_equal(eager_y, replay_y)
 
 
+def _dead_dup_readback(w):
+    def f(t, y):
+        a = (y * w).tanh()
+        b = (y * w).tanh()                   # duplicate subexpression
+        (a @ w.transpose()).exp()            # dead: never reaches the output
+        out = a * b + y
+        out * 2.0                            # reads the output, then dropped
+        return out
+
+    return f
+
+
+class TestTracesRunAsRecorded:
+    """A compiled trace runs every recorded op in trace order: a dead op,
+    a duplicate subexpression and an op that reads the output all execute
+    in the generated kernel and in the gradient replay, and both must
+    still equal eager bit for bit."""
+
+    def test_nograd_kernel_matches_eager(self, replay_mode):
+        rng = np.random.default_rng(11)
+        w = Tensor(rng.normal(size=(3, 4)))
+        f = _dead_dup_readback(w)
+        cf = CompiledFunction(f)
+        ys = [Tensor(rng.normal(size=(3, 4))) for _ in range(4)]
+        with no_grad():
+            outs = [cf(0.1 * k, y).data.copy() for k, y in enumerate(ys)]
+            expected = [f(0.1 * k, y).data for k, y in enumerate(ys)]
+        (state, graph), = cf.entries.values()
+        assert state == "codegen"
+        assert len(graph.ops) == 10          # nothing dropped or merged
+        assert graph.out_buf == 8            # op 9 reads the output
+        for got, want in zip(outs, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_grad_replay_matches_eager(self):
+        rng = np.random.default_rng(12)
+        ys = [rng.normal(size=(3, 4)) for _ in range(4)]
+        w_np = rng.normal(size=(3, 4))
+
+        def run(mode):
+            prev = get_executor()
+            set_executor(mode)
+            try:
+                w = Tensor(w_np.copy(), requires_grad=True, name="w")
+                f = _dead_dup_readback(w)
+                fn = CompiledFunction(f) if mode == "replay" else f
+                records = []
+                for k, y_np in enumerate(ys):
+                    y = Tensor(y_np.copy(), requires_grad=True)
+                    out = fn(0.1 * k, y)
+                    out.sum().backward()
+                    records.append((out.data.copy(), y.grad.copy()))
+                if mode == "replay":
+                    (state, _), = fn.entries.values()
+                    assert state == "ready"
+                return records, w.grad.copy()
+            finally:
+                set_executor(prev)
+
+        eager, eager_w = run("eager")
+        replay, replay_w = run("replay")
+        for (eo, eg), (ro, rg) in zip(eager, replay):
+            np.testing.assert_array_equal(eo, ro)
+            np.testing.assert_array_equal(eg, rg)
+        np.testing.assert_array_equal(eager_w, replay_w)
+
+
 class TestGradReplayAliasing:
     """Regressions for the grad-path view-alias fix: ``replay_grad`` must
-    never hand out a view of live storage (an external's ``.data``, the
-    caller's ``y`` array, or a memoized prefix array)."""
+    never hand out a view of live storage (an external's ``.data`` or the
+    caller's ``y`` array)."""
 
     def test_grad_output_never_views_external(self, replay_mode):
         w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -466,9 +535,9 @@ class TestGradReplayAliasing:
 
     def test_mutating_grad_output_keeps_later_replays_eager(
             self, replay_mode):
-        """A trace ending in a view of a hoisted (memoized-prefix) op must
-        return a copy: mutating it in place must leave later replays
-        bit-identical to eager."""
+        """A trace ending in a view of an op that reads only a static
+        external: mutating the returned output in place must leave later
+        replays bit-identical to eager."""
         A = Tensor(np.arange(6.0).reshape(2, 3))
         mark_static(A)
 
@@ -485,3 +554,103 @@ class TestGradReplayAliasing:
         later = cf(0.3, y)
         np.testing.assert_array_equal(later.data, expected)
         np.testing.assert_array_equal(f(0.3, y).data, expected)
+
+
+def test_trace_cache_evicts_lru(replay_mode, counters, monkeypatch):
+    """The per-function cache keeps the most recently used keys and
+    counts each eviction."""
+    monkeypatch.setattr(executors_mod, "_CACHE_CAP", 2)
+    calls = []
+
+    def f(t, y):
+        calls.append(y.data.size)
+        return y * 2.0 + 1.0
+
+    cf = CompiledFunction(f)
+    with no_grad():
+        for size in (2, 3, 4, 5):            # four distinct trace keys
+            for t in (0.0, 0.1, 0.2):
+                out = cf(t, Tensor(np.ones(size)))
+                np.testing.assert_array_equal(out.data, np.full(size, 3.0))
+        assert len(cf.entries) == 2
+        assert counters.counter("ir.cache_evictions").value == 2
+        # the two most recently used keys (sizes 4, 5) survive, so
+        # replaying them does not re-enter the traced function
+        n_calls = len(calls)
+        cf(0.3, Tensor(np.ones(4)))
+        cf(0.3, Tensor(np.ones(5)))
+    assert len(calls) == n_calls
+
+
+@settings(max_examples=15, deadline=None)
+@given(num_heads=st.sampled_from([1, 2]),
+       batch=st.integers(min_value=1, max_value=5),
+       p_solver=st.sampled_from(sorted(P_SOLVERS)),
+       data=st.data())
+def test_replay_matches_eager_forward_and_backward(num_heads, batch,
+                                                   p_solver, data):
+    """Replay must reproduce eager forward values and gradients bit for
+    bit for the DHS dynamics, for 1- and 2-head models, every p-solver,
+    across batch sizes (gradients go through the fat-node replay, the
+    no_grad forward through the generated kernel)."""
+    head_dim, n = 4, 6
+    latent = head_dim * num_heads
+    rng = np.random.default_rng(17)
+    dyn = DHSDynamics(latent, 8, rng, p_solver=p_solver,
+                      num_heads=num_heads, max_len=16)
+    contexts = [
+        ContextState.build(Tensor(data.draw(_arr((batch, n, head_dim)),
+                                            label=f"z{h}")),
+                           None, ridge=1e-6)
+        for h in range(num_heads)
+    ]
+    s0 = data.draw(_arr((batch, latent)), label="s0")
+    out_grad = np.ones((batch, latent))
+    params = list(dyn.parameters())
+
+    def run(executor):
+        dyn.bind(contexts)                   # fresh epoch per run
+        s = Tensor(s0.copy(), requires_grad=True)
+        for p in params:
+            p.zero_grad()
+        if executor == "eager":
+            out = dyn(0.3, s)
+        else:
+            cf = CompiledFunction(dyn)
+            cf(0.3, s)                       # trace
+            cf(0.3, s)                       # validate
+            out = cf(0.3, s)                 # replay -> fat node
+        out.backward(out_grad)
+        grads = [None if p.grad is None else p.grad.copy()
+                 for p in (s, *params)]
+        return out.data.copy(), grads
+
+    def run_nograd(executor):
+        dyn.bind(contexts)
+        s = Tensor(s0.copy())
+        with no_grad():
+            if executor == "eager":
+                return dyn(0.3, s).data.copy()
+            cf = CompiledFunction(dyn)
+            for _ in range(3):          # trace, validate, kernel
+                out = cf(0.3, s)
+            return out.data.copy()
+
+    prev_exec = get_executor()
+    try:
+        set_executor("eager")
+        out_eager, grads_eager = run("eager")
+        ng_eager = run_nograd("eager")
+        set_executor("replay")
+        out_replay, grads_replay = run("replay")
+        ng_replay = run_nograd("replay")
+    finally:
+        set_executor(prev_exec)
+
+    np.testing.assert_array_equal(out_eager, out_replay)
+    np.testing.assert_array_equal(ng_eager, ng_replay)
+    assert len(grads_eager) == len(grads_replay)
+    for ge, gr in zip(grads_eager, grads_replay):
+        assert (ge is None) == (gr is None)
+        if ge is not None:
+            np.testing.assert_array_equal(ge, gr)

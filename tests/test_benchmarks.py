@@ -3,14 +3,12 @@ them, whatever modes they measure under."""
 
 from repro import benchmarks
 from repro.autodiff import (get_checkpoint_grads, get_executor,
-                            get_ir_passes, set_checkpoint_grads,
-                            set_executor, set_ir_passes)
+                            set_checkpoint_grads, set_executor)
 
 
 def test_runners_restore_execution_modes():
-    prev = get_executor(), get_ir_passes(), get_checkpoint_grads()
+    prev = get_executor(), get_checkpoint_grads()
     set_executor("replay")
-    set_ir_passes("none")
     set_checkpoint_grads("on")
     try:
         benchmarks._memory_mode_run("backprop", 5, 2, 1, 0)
@@ -19,10 +17,7 @@ def test_runners_restore_execution_modes():
         assert get_executor() == "replay"
         set_executor("eager")
         benchmarks._solve_ir("replay")
-        benchmarks._solve_passes("default")
-        assert (get_executor(), get_ir_passes(),
-                get_checkpoint_grads()) == ("eager", "none", "on")
+        assert (get_executor(), get_checkpoint_grads()) == ("eager", "on")
     finally:
         set_executor(prev[0])
-        set_ir_passes(prev[1])
-        set_checkpoint_grads(prev[2])
+        set_checkpoint_grads(prev[1])
