@@ -7,8 +7,8 @@
 #   scripts/test.sh full     everything: tier 1 + tier 2
 #   scripts/test.sh ir       tier-1 under the trace-and-replay executor
 #                            (REPRO_EXECUTOR=replay, where every validated
-#                            no_grad trace runs as a generated kernel and
-#                            gradient traces as fat-node replays)
+#                            no_grad trace runs as a generated kernel;
+#                            calls with gradients enabled run eager)
 #   scripts/test.sh batching the union-grid batching suites (planner,
 #                            solve driver, solve() facade) plus the
 #                            BENCH_batching acceptance benchmark
@@ -23,13 +23,9 @@
 #                            session entry points) plus the tier-2
 #                            subprocess smoke (CLI serve + loadgen) and
 #                            the BENCH_serving acceptance benchmark
-#   scripts/test.sh adjoint  tier-1 under trace-checkpointed backprop
-#                            (REPRO_CHECKPOINT_GRADS=on with
-#                            REPRO_EXECUTOR=replay; only gradient replays
-#                            checkpoint, so the eager executor never
-#                            reaches it), then the BENCH_memory
-#                            acceptance benchmark (backward memory gates)
-#                            under the default settings
+#   scripts/test.sh adjoint  the BENCH_memory acceptance benchmark
+#                            (long-horizon backward memory: backprop vs
+#                            the continuous adjoint)
 #   scripts/test.sh perf     the end-to-end benchmark's own checks
 #                            (perfbench/test_perfbench.py): seed
 #                            reproducibility of the workloads and the
@@ -57,8 +53,6 @@ case "$lane" in
         exec env REPRO_EXECUTOR=replay python -m pytest -x -q "$@"
         ;;
     adjoint)
-        env REPRO_CHECKPOINT_GRADS=on REPRO_EXECUTOR=replay \
-            python -m pytest -x -q "$@"
         exec python -m pytest -x -q benchmarks/test_memory.py \
             -p no:cacheprovider -m "tier2 or not tier2" "$@"
         ;;

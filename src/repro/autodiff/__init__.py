@@ -7,7 +7,8 @@ The package is organised around an explicit op-graph IR:
 * :mod:`~repro.autodiff.tensor` -- the :class:`Tensor` handle and the
   eager executor (``apply``);
 * :mod:`~repro.autodiff.executors` -- the trace-and-replay executor for
-  ODE right-hand sides (``REPRO_EXECUTOR=replay`` / :func:`set_executor`);
+  ``no_grad`` ODE right-hand sides (``REPRO_EXECUTOR=replay`` /
+  :func:`set_executor`); gradients always come from the eager tape;
 * :mod:`~repro.autodiff.codegen` -- the codegen backend lowering every
   validated no_grad trace to one flat generated Python/numpy kernel.
 """
@@ -36,13 +37,9 @@ from .tensor import (
 from .executors import (
     CompiledFunction,
     CompiledGraph,
-    get_checkpoint_grads,
     get_executor,
     maybe_compile,
-    reset_tape_stats,
-    set_checkpoint_grads,
     set_executor,
-    tape_stats,
 )
 from .codegen import (
     CodegenError,
@@ -90,10 +87,6 @@ __all__ = [
     "CodegenError",
     "get_codegen",
     "recent_sources",
-    "get_checkpoint_grads",
-    "set_checkpoint_grads",
-    "tape_stats",
-    "reset_tape_stats",
     "softmax",
     "log_softmax",
     "masked_softmax",

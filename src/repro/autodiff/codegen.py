@@ -24,9 +24,9 @@ executor every validated ``no_grad`` trace runs as such a kernel (trace ->
 validate -> codegen): validation bit-compares the kernel's output against
 the replayed trace, so the bit-identity contract with eager execution
 is enforced per trace, not assumed, and a trace that cannot be lowered or
-whose kernel differs stays eager.  Gradient-mode replays keep the
-fat-node backward.  Generated sources are kept in a ring buffer surfaced
-by ``python -m repro.cli profile``.
+whose kernel differs stays eager.  Calls with gradients enabled run
+eager.  Generated sources are kept in a ring buffer surfaced by
+``python -m repro.cli profile``.
 """
 
 from __future__ import annotations

@@ -14,16 +14,15 @@ Two executors run this IR:
   declared and walks ``OpNode`` records backwards for gradients -- the
   same semantics the closure-based tape had, bit for bit;
 * the **replay** executor (:mod:`repro.autodiff.executors`) records the
-  linear sequence of ops produced by one eager evaluation of an ODE
-  right-hand side via :class:`TraceRecorder` and re-executes it on fresh
-  inputs without re-entering the Python front-end.
+  linear sequence of ops produced by one eager ``no_grad`` evaluation of
+  an ODE right-hand side via :class:`TraceRecorder` and re-executes it on
+  fresh inputs without re-entering the Python front-end.
 
 Backward rules receive ``(grad, inputs, out, attrs, needs)`` where
 ``inputs``/``out`` are the raw ndarrays of the op's parents and output and
 ``needs[i]`` says whether parent ``i`` wants a gradient; they return one
 gradient (or ``None``) per parent.  Rules must derive everything from
-those arguments -- never from captured state -- so the same rule serves
-both executors.
+those arguments -- never from captured state.
 """
 
 from __future__ import annotations
@@ -163,9 +162,9 @@ class OpNode:
 # ---------------------------------------------------------------------------
 
 #: Opcodes that cannot be replayed: their backward closes over per-call
-#: state (adjoint custom nodes, nested replay nodes).  Hitting one during
-#: tracing fails the trace and the function falls back to eager for good.
-UNREPLAYABLE = frozenset({"custom", "replay"})
+#: state (adjoint custom nodes).  Hitting one during tracing fails the
+#: trace and the function falls back to eager for good.
+UNREPLAYABLE = frozenset({"custom"})
 
 
 class TraceOp:
@@ -199,7 +198,7 @@ class TraceRecorder:
 
     def __init__(self):
         self.ops: list[TraceOp] = []
-        self.inputs: list[tuple[str, tuple, bool]] = []  # (kind, shape, requires_grad)
+        self.inputs: list[tuple[str, tuple]] = []        # (kind, shape)
         self.externals: list = []                        # captured Tensors
         self.ext_static: list[bool] = []                 # per-external invariance
         self.failed: str | None = None
@@ -223,7 +222,7 @@ class TraceRecorder:
     def mark_input(self, tensor, kind: str) -> None:
         """Declare ``tensor`` as replay input slot (kind 'y' or 't')."""
         slot = len(self.inputs)
-        self.inputs.append((kind, tensor.data.shape, bool(tensor.requires_grad)))
+        self.inputs.append((kind, tensor.data.shape))
         self._index[id(tensor)] = ("in", slot)
         self._keepalive.append(tensor)
 
@@ -714,21 +713,14 @@ register_op("gru_scan", _fw_gru_scan, _bw_gru_scan)
 
 
 # ---------------------------------------------------------------------------
-# escape hatches
+# escape hatch
 # ---------------------------------------------------------------------------
 # "custom" wraps a caller-supplied backward closure (the adjoint method's
-# solve-backwards-in-time node); "replay" is the fat node a CompiledGraph
-# plants in the outer graph.  Neither has a data-only forward rule, so both
-# poison traces (see UNREPLAYABLE) and only ever run eagerly.
+# solve-backwards-in-time node).  It has no data-only forward rule, so it
+# poisons traces (see UNREPLAYABLE) and only ever runs eagerly.
 
 register_op("custom", None,
             lambda g, ins, out, at, needs: tuple(at["fn"](g)))
-# The replay backward also receives the parents' live data (``ins[0]`` is
-# the step input ``y``) so checkpointed frames — which drop the forward
-# value table — can re-run the trace from the stored inputs alone.
-register_op("replay", None,
-            lambda g, ins, out, at, needs:
-                at["graph"].backward(g, at["frame"], ins))
 
 
 # ---------------------------------------------------------------------------

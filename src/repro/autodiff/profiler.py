@@ -109,13 +109,12 @@ class TapeProfiler:
         self._last_ts = time.perf_counter()
 
     def _record_replay(self, n_ops: int) -> None:
-        """One compiled-trace replay executed ``n_ops`` recorded ops.
+        """One generated-kernel call executed ``n_ops`` recorded ops.
 
-        Replays (generated kernels for ``no_grad`` keys, fat-node replays
-        for gradient keys) bypass ``tensor.apply`` so they are counted in
-        aggregate here rather than per opcode; resetting the attribution
-        clock keeps replay wall time from being charged to the next eager
-        node.
+        Kernel calls (the replay executor's ``no_grad`` calls) bypass
+        ``tensor.apply`` so they are counted in aggregate here rather than
+        per opcode; resetting the attribution clock keeps kernel wall time
+        from being charged to the next eager node.
         """
         self.replays += 1
         self.replayed_ops += n_ops

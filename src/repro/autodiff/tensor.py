@@ -262,18 +262,6 @@ class Tensor:
         grads: dict[int, np.ndarray] = {id(self): grad}
         owned: set[int] = set()
 
-        def accumulate(key: int, part: np.ndarray) -> None:
-            acc = grads.get(key)
-            if acc is None:
-                grads[key] = part
-            elif key in owned and acc.shape == np.shape(part):
-                np.add(acc, part, out=acc)
-            else:
-                acc = acc + part
-                grads[key] = acc
-                if type(acc) is np.ndarray:
-                    owned.add(key)
-
         for t in interior:
             node_grad = grads.pop(id(t), None)
             if node_grad is None:
@@ -293,13 +281,16 @@ class Tensor:
                 if pgrad is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                if type(pgrad) is list:
-                    # A replay fat node's per-op contributions, in the
-                    # order eager would have added them.
-                    for part in pgrad:
-                        accumulate(key, part)
+                acc = grads.get(key)
+                if acc is None:
+                    grads[key] = pgrad
+                elif key in owned and acc.shape == np.shape(pgrad):
+                    np.add(acc, pgrad, out=acc)
                 else:
-                    accumulate(key, pgrad)
+                    acc = acc + pgrad
+                    grads[key] = acc
+                    if type(acc) is np.ndarray:
+                        owned.add(key)
         # Anything left belongs to leaves encountered exactly once.
         for t in leaves:
             remaining = grads.pop(id(t), None)
@@ -476,12 +467,10 @@ def mark_static(tensor: Tensor) -> Tensor:
     be rebound) until the next :func:`~repro.autodiff.ir.bump_graph_epoch`
     call -- the contract bind-time constants such as the DHS attention
     contexts already satisfy, since ``DHSDynamics.bind`` bumps the epoch
-    when it installs new ones.  A compiled trace relies on the promise in
-    two places: the generated ``no_grad`` kernel bakes a static tensor's
-    array in as a constant instead of re-reading ``.data`` per call, and
-    a checkpointed gradient frame skips the check that the tensor was not
-    rebound between forward and backward.  Never mark trainable
-    parameters that an optimizer updates in place.
+    when it installs new ones.  The generated ``no_grad`` kernel of a
+    compiled trace relies on the promise: it bakes a static tensor's array
+    in as a constant instead of re-reading ``.data`` per call.  Never mark
+    trainable parameters that an optimizer updates in place.
 
     Returns the tensor for chaining.
     """

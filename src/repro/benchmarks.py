@@ -59,13 +59,11 @@ latency percentiles.
 ``memory`` measures long-horizon backward-pass storage
 (``BENCH_memory.json``): one rk4 solve over 50 to 5000 uniform readouts
 (one accepted step per interval) under plain backprop-through-the-solver
-(replay executor, full frames), trace-checkpointed backprop
-(``REPRO_CHECKPOINT_GRADS=on``, frames keep only the step input) and the
-continuous adjoint (no tape at all; the retained output states are its
-storage).  Reports peak backward-pass bytes and wall time per mode, the
-reduction factors at each length, a bit-compare of the checkpointed
-gradients against plain backprop (must be exactly 0) and the adjoint's
-gradient error against its tolerance band.
+(the eager tape) and the continuous adjoint (no tape across the solve;
+the retained output states are its storage).  Reports, per mode, the
+``tracemalloc`` peak over the solve and its backward and the wall time
+of a separate, untraced run; the adjoint's reduction factor at each length;
+and the adjoint's gradient error against its tolerance band.
 """
 
 from __future__ import annotations
@@ -285,21 +283,17 @@ def run_parallel(out_path: str | pathlib.Path = "BENCH_parallel.json",
 
 
 @contextlib.contextmanager
-def _modes(executor: str, checkpoint_grads: str | None = None):
-    """Run the block under the given execution modes, then restore the
-    caller's: a benchmark leaves the process's settings as it found them."""
-    from .autodiff import (get_checkpoint_grads, get_executor,
-                           set_checkpoint_grads, set_executor)
+def _modes(executor: str):
+    """Run the block under the given executor, then restore the caller's:
+    a benchmark leaves the process's settings as it found them."""
+    from .autodiff import get_executor, set_executor
 
-    prev = get_executor(), get_checkpoint_grads()
+    prev = get_executor()
     set_executor(executor)
     try:
-        if checkpoint_grads is not None:
-            set_checkpoint_grads(checkpoint_grads)
         yield
     finally:
-        set_executor(prev[0])
-        set_checkpoint_grads(prev[1])
+        set_executor(prev)
 
 
 def ir_workload(batch: int = 16, hidden: int = 16, seed: int = 3):
@@ -781,8 +775,7 @@ def _main_streaming(out: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# memory: long-horizon backward-pass storage (backprop / checkpointed /
-# adjoint)
+# memory: long-horizon backward-pass storage (backprop / adjoint)
 # ---------------------------------------------------------------------------
 
 #: gradient-error band for the continuous adjoint in the memory benchmark:
@@ -792,14 +785,18 @@ ADJOINT_GRAD_BAND = 1e-5
 
 
 def _memory_mode_run(mode: str, n_obs: int, dim: int, batch: int, seed: int):
-    """One rk4 solve + backward over ``n_obs`` readouts under ``mode``.
+    """One rk4 solve + backward over ``n_obs`` readouts under ``mode``
+    (``"backprop"`` through the solver, or the continuous ``"adjoint"``).
 
     Returns ``(peak_backward_bytes, wall_seconds, steps, gy, gparams)``.
-    Peak bytes count what the backward pass keeps alive: replay tape frames
-    for the backprop modes, the retained per-readout output states (plus
-    the one transient VJP frame) for the adjoint.
+    Peak bytes are the ``tracemalloc`` peak over the solve and its
+    backward, counted from just before the solve: the tape for backprop,
+    the retained output states plus one transient VJP graph for the
+    adjoint.  Tracing slows allocation, so the wall time comes from a
+    separate, untraced run of the same workload.
     """
-    from .autodiff import reset_tape_stats, tape_stats
+    import tracemalloc
+
     from .nn import Linear, Module
 
     class _Field(Module):
@@ -810,25 +807,36 @@ def _memory_mode_run(mode: str, n_obs: int, dim: int, batch: int, seed: int):
         def forward(self, t, y):
             return self.lin(y).tanh() * 0.9
 
-    rng = np.random.default_rng(seed)
-    field = _Field(rng)
-    y0 = Tensor(rng.normal(size=(batch, dim)), requires_grad=True)
     times = np.linspace(0.0, 1.0, n_obs)
     opts = SolverOptions(step_size=float(times[1] - times[0]),
                          adjoint=(mode == "adjoint"))
 
-    with _modes("replay", checkpoint_grads=("on" if mode == "checkpointed"
-                                            else "off")):
-        reset_tape_stats()
-        start = time.perf_counter()
+    def setup():
+        rng = np.random.default_rng(seed)
+        field = _Field(rng)
+        return field, Tensor(rng.normal(size=(batch, dim)),
+                             requires_grad=True)
+
+    def solve_and_backward(field, y0) -> int:
         sol = solve(field, y0, times, method="rk4", options=opts)
         (sol.ys ** 2).mean().backward()
-        wall = time.perf_counter() - start
+        return sol.stats.steps
 
-    peak = tape_stats()["peak_bytes"]
-    if mode == "adjoint":
-        peak += sol.ys.data.nbytes
-    return (peak, wall, sol.stats.steps, y0.grad.copy(),
+    with _modes("eager"):
+        # The untraced run goes first: it also keeps one-time allocations
+        # (lazy imports, first-call caches) out of the traced peak.
+        timed = setup()
+        start = time.perf_counter()
+        solve_and_backward(*timed)
+        wall = time.perf_counter() - start
+        field, y0 = setup()
+        tracemalloc.start()
+        try:
+            steps = solve_and_backward(field, y0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return (peak, wall, steps, y0.grad.copy(),
             [p.grad.copy() for p in field.parameters()])
 
 
@@ -838,14 +846,14 @@ def run_memory(out_path: str | pathlib.Path = "BENCH_memory.json",
     """Peak backward-pass bytes and wall time vs sequence length.
 
     Same workload per mode (identical seed, field and grid), so the
-    checkpointed gradients must match plain backprop bitwise and the
-    adjoint gradients must land within :data:`ADJOINT_GRAD_BAND`.
+    adjoint gradients must land within :data:`ADJOINT_GRAD_BAND` of
+    plain backprop's.
     """
     rows = []
     for n_obs in lengths:
         modes = {}
         grads = {}
-        for mode in ("backprop", "checkpointed", "adjoint"):
+        for mode in ("backprop", "adjoint"):
             peak, wall, steps, gy, gp = _memory_mode_run(
                 mode, n_obs, dim, batch, seed)
             modes[mode] = {"peak_backward_bytes": peak,
@@ -853,25 +861,18 @@ def run_memory(out_path: str | pathlib.Path = "BENCH_memory.json",
             grads[mode] = (gy, gp)
 
         gy_bp, gp_bp = grads["backprop"]
-        gy_ck, gp_ck = grads["checkpointed"]
         gy_adj, gp_adj = grads["adjoint"]
-        ckpt_diff = max(float(np.abs(gy_ck - gy_bp).max()),
-                        max(float(np.abs(a - b).max())
-                            for a, b in zip(gp_ck, gp_bp)))
         ref = max(float(np.abs(gy_bp).max()),
                   max(float(np.abs(g).max()) for g in gp_bp), 1e-12)
         adj_err = max(float(np.abs(gy_adj - gy_bp).max()),
                       max(float(np.abs(a - b).max())
                           for a, b in zip(gp_adj, gp_bp))) / ref
-        bp_peak = modes["backprop"]["peak_backward_bytes"]
         rows.append({
             "n_obs": n_obs,
             "modes": modes,
-            "reduction_checkpointed": (
-                bp_peak / modes["checkpointed"]["peak_backward_bytes"]),
             "reduction_adjoint": (
-                bp_peak / modes["adjoint"]["peak_backward_bytes"]),
-            "ckpt_max_abs_diff": ckpt_diff,
+                modes["backprop"]["peak_backward_bytes"]
+                / modes["adjoint"]["peak_backward_bytes"]),
             "adjoint_rel_err": adj_err,
             "adjoint_band": ADJOINT_GRAD_BAND,
         })
@@ -880,10 +881,11 @@ def run_memory(out_path: str | pathlib.Path = "BENCH_memory.json",
         "workload": (f"batch-{batch} dim-{dim} linear+tanh field, rk4 with "
                      "one accepted step per readout interval over [0, 1]"),
         "method": "rk4",
-        "note": ("peak_backward_bytes: replay tape frames for the backprop "
-                 "modes; retained output states + one transient VJP frame "
-                 "for the adjoint.  checkpointed gradients are bit-identical "
-                 "to backprop; adjoint gradients are tolerance-bounded"),
+        "note": ("peak_backward_bytes: tracemalloc peak over the solve and "
+                 "its backward (the tape for backprop; retained output "
+                 "states plus one transient VJP graph for the adjoint); "
+                 "wall_seconds from a separate, untraced run.  adjoint "
+                 "gradients are tolerance-bounded against backprop"),
         "rows": rows,
     }
     path = pathlib.Path(out_path)
@@ -899,11 +901,8 @@ def _main_memory(out: str) -> int:
         m = row["modes"]
         print(f"  n={row['n_obs']:>5}  "
               f"backprop {m['backprop']['peak_backward_bytes']:>12,} B  "
-              f"ckpt {m['checkpointed']['peak_backward_bytes']:>10,} B "
-              f"({row['reduction_checkpointed']:5.1f}x)  "
               f"adjoint {m['adjoint']['peak_backward_bytes']:>10,} B "
               f"({row['reduction_adjoint']:5.1f}x)  "
-              f"ckpt|diff|={row['ckpt_max_abs_diff']:.1e}  "
               f"adj err={row['adjoint_rel_err']:.1e}")
     print(f"  wrote {out}")
     return 0

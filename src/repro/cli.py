@@ -10,8 +10,6 @@ Examples::
         --workers 4
     python -m repro.cli train --model DIFFODE --dataset synthetic \
         --executor replay
-    python -m repro.cli train --model DIFFODE --dataset synthetic \
-        --executor replay --checkpoint-grads on
     python -m repro.cli evaluate --checkpoint diffode.npz \
         --dataset synthetic
     python -m repro.cli profile --model DIFFODE --dataset synthetic \
@@ -33,7 +31,7 @@ import contextlib
 
 import numpy as np
 
-from .autodiff import set_checkpoint_grads, set_executor
+from .autodiff import set_executor
 from .data import Dataset, batch_iter, train_val_test_split
 from .experiments import (
     ALL_MODELS,
@@ -89,20 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the telemetry event stream as JSONL")
     train.add_argument("--executor", default=None,
                        choices=["eager", "replay"],
-                       help="autodiff executor for ODE right-hand sides "
-                            "(default: REPRO_EXECUTOR env or eager); "
-                            "gradient workers inherit the choice")
+                       help="autodiff executor for no_grad ODE "
+                            "right-hand sides (validation, evaluation); "
+                            "gradients always run eager (default: "
+                            "REPRO_EXECUTOR env or eager); gradient "
+                            "workers inherit the choice")
     train.add_argument("--adjoint", action="store_true",
                        help="differentiate the ODE solve with the "
                             "continuous adjoint (O(state) memory, "
                             "tolerance-bounded gradients) instead of "
                             "backprop through the solver (DIFFODE only)")
-    train.add_argument("--checkpoint-grads", default=None,
-                       dest="checkpoint_grads", choices=["on", "off"],
-                       help="trace-checkpointed backprop under the replay "
-                            "executor: frames keep only step inputs and "
-                            "intermediates are rebuilt during backward "
-                            "(default: REPRO_CHECKPOINT_GRADS env or off)")
 
     ev = sub.add_parser("evaluate", help="evaluate a DIFFODE checkpoint")
     ev.add_argument("--checkpoint", required=True)
@@ -147,14 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the telemetry event stream as JSONL")
     prof.add_argument("--executor", default=None,
                       choices=["eager", "replay"],
-                      help="autodiff executor for ODE right-hand sides")
+                      help="autodiff executor for no_grad ODE right-hand "
+                           "sides; gradients always run eager")
     prof.add_argument("--adjoint", action="store_true",
                       help="differentiate the ODE solve with the "
                            "continuous adjoint (DIFFODE only)")
-    prof.add_argument("--checkpoint-grads", default=None,
-                      dest="checkpoint_grads", choices=["on", "off"],
-                      help="trace-checkpointed backprop under the replay "
-                           "executor")
     prof.add_argument("--seed", type=int, default=0)
 
     st = sub.add_parser(
@@ -578,8 +569,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "executor", None):
         set_executor(args.executor)
-    if getattr(args, "checkpoint_grads", None):
-        set_checkpoint_grads(args.checkpoint_grads)
     handlers = {"train": _cmd_train, "evaluate": _cmd_evaluate,
                 "profile": _cmd_profile, "stream": _cmd_stream,
                 "serve": _cmd_serve, "loadgen": _cmd_loadgen,

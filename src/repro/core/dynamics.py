@@ -83,8 +83,7 @@ class DHSDynamics(Module):
                 if self.p_solver == "ada_h":
                     # Only adaH reads the (B, n, n) null projector.  Build
                     # it here, not lazily inside the first traced call, so
-                    # RHS traces capture it as a static external and eager
-                    # and replay sum its gradients in the same order.
+                    # RHS traces capture it as a static external.
                     mark_static(ctx.a_null)
         self._contexts = contexts
         self._slices = slices

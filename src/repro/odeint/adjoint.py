@@ -46,10 +46,10 @@ def _vjp(rhs: Callable, params: list, t: float, y_value: np.ndarray,
     """Return ``(a^T df/dy, [a^T df/dtheta ...])`` at a single point.
 
     ``rhs`` is the (possibly replay-compiled) right-hand side; the adjoint
-    sweep rebuilds this one-step graph at every augmented evaluation, which
-    is exactly the pattern the trace cache collapses to a single fat node.
-    This grad-mode call and ``aug_dynamics``'s plain ``no_grad`` call each
-    compile to their own trace.
+    sweep rebuilds this one-step graph at every augmented evaluation.  This
+    call has gradients enabled, so it always runs eagerly; the ``no_grad``
+    calls (the forward solve, the fixed-grid sweep's plain RHS value) run
+    the generated kernel under the replay executor.
     """
     for p in params:
         p.zero_grad()

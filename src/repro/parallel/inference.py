@@ -12,7 +12,11 @@ The pool's :meth:`execute` is blocking (the asyncio server calls it via
 ``run_in_executor``, exactly like the in-process engine), fanning one
 micro-batch out as per-worker sub-batches and reassembling responses in
 payload order.  Hot-reload broadcasts the checkpoint path and each worker
-re-loads + swaps behind its own engine lock.
+re-loads + swaps behind its own engine lock.  A worker that dies fails
+only its own slots of the batch in flight and is respawned before
+:meth:`execute` returns, with a fresh engine (empty cache) on the pool's
+current model and version; a reload respawns dead workers before it
+broadcasts.
 
 Transport is a plain duplex Pipe per worker: payloads and responses are
 small JSON-able dicts, so no shared-memory arenas are needed here — the
@@ -38,12 +42,14 @@ def _series_slot(series_id: str, workers: int) -> int:
     return int.from_bytes(digest[:4], "big") % workers
 
 
-def _worker_main(wid: int, conn, model, engine_kwargs: dict) -> None:
+def _worker_main(wid: int, conn, model, engine_kwargs: dict,
+                 model_version: int) -> None:
     """Worker loop: build an engine around the forked model and serve."""
     from ..serving.engine import InferenceEngine
     from ..training.serialization import load_diffode
 
     engine = InferenceEngine(model, **engine_kwargs)
+    engine.model_version = model_version
     while True:
         try:
             msg = conn.recv()
@@ -92,19 +98,39 @@ class InferencePool:
         # round-trip, mirroring ``InferenceEngine._lock``.
         self._lock = threading.Lock()
         self._ctx = mp.get_context("fork")
-        self._conns = []
-        self._procs = []
+        self._conns = [None] * self.workers
+        self._procs = [None] * self.workers
         for wid in range(self.workers):
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(wid, child_conn, model, self._engine_kwargs),
-                daemon=True, name=f"repro-serve-worker-{wid}")
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
+            self._spawn(wid)
         get_registry().set_gauge("serving.workers", self.workers)
+
+    def _spawn(self, wid: int) -> None:
+        """Fork worker ``wid``: a fresh engine on ``self.model`` at the
+        pool's current model version."""
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(wid, child_conn, self.model, self._engine_kwargs,
+                  self._version),
+            daemon=True, name=f"repro-serve-worker-{wid}")
+        proc.start()
+        child_conn.close()
+        self._conns[wid] = parent_conn
+        self._procs[wid] = proc
+
+    def _respawn(self, wid: int) -> None:
+        """Replace a dead worker.  Its cached sessions die with it, so its
+        series' next requests are cold."""
+        try:
+            self._conns[wid].close()
+        except OSError:
+            pass
+        proc = self._procs[wid]
+        if proc.is_alive():
+            proc.kill()
+        proc.join(timeout=2.0)
+        get_registry().inc("serving.respawns")
+        self._spawn(wid)
 
     # ------------------------------------------------------------------
     def info(self) -> dict:
@@ -122,11 +148,17 @@ class InferencePool:
             sub.setdefault(wid, []).append((i, payload))
         results: list[dict | None] = [None] * len(payloads)
         with self._lock:
-            for wid, items in sub.items():
-                self._conns[wid].send(("batch", [p for _, p in items]))
-            for wid, items in sub.items():
+            sent = [wid for wid, items in sub.items()
+                    if self._send(wid, ("batch", [p for _, p in items]))]
+            dead = [wid for wid in sub if wid not in sent]
+            # Read every worker that was sent to, so no reply is left in a
+            # pipe to answer a later request.
+            for wid in sent:
+                items = sub[wid]
                 msg = self._recv(wid)
-                if msg[0] == "ok":
+                if msg is None:
+                    dead.append(wid)
+                elif msg[0] == "ok":
                     for (i, _), response in zip(items, msg[2]):
                         results[i] = response
                 else:
@@ -134,6 +166,13 @@ class InferencePool:
                         results[i] = {
                             "ok": False,
                             "error": f"worker {wid} failed:\n{msg[2]}"}
+            for wid in dead:
+                for i, _ in sub[wid]:
+                    results[i] = {
+                        "ok": False,
+                        "error": f"worker {wid} died; it was respawned "
+                                 "with an empty cache"}
+                self._respawn(wid)
         return results  # type: ignore[return-value]
 
     def swap_model(self, checkpoint_path) -> int:
@@ -156,10 +195,18 @@ class InferencePool:
         InferenceEngine._check_model(new_model)
         version = 0
         with self._lock:
+            for wid, proc in enumerate(self._procs):
+                if not proc.is_alive():
+                    self._respawn(wid)
+            sent = [wid for wid in range(self.workers)
+                    if self._send(wid, ("reload", checkpoint_path))]
+            # Read every ack before judging any, so none is left in a
+            # pipe to answer a later request.
+            replies = {wid: self._recv(wid) for wid in sent}
             for wid in range(self.workers):
-                self._conns[wid].send(("reload", checkpoint_path))
-            for wid in range(self.workers):
-                msg = self._recv(wid)
+                msg = replies.get(wid)
+                if msg is None:
+                    raise RuntimeError(f"worker {wid} died during reload")
                 if msg[0] != "ok":
                     raise RuntimeError(
                         f"worker {wid} reload failed:\n{msg[2]}")
@@ -169,11 +216,20 @@ class InferencePool:
         get_registry().inc("serving.reloads")
         return version
 
+    def _send(self, wid: int, msg) -> bool:
+        """Send ``msg`` to worker ``wid``; False if its pipe is dead."""
+        try:
+            self._conns[wid].send(msg)
+        except OSError:
+            return False
+        return True
+
     def _recv(self, wid: int):
+        """Worker ``wid``'s next message, or None if its pipe is dead."""
         try:
             return self._conns[wid].recv()
         except (EOFError, OSError):
-            return ("err", wid, "worker process died")
+            return None
 
     def close(self) -> None:
         with self._lock:

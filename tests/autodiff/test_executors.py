@@ -1,6 +1,6 @@
 """Trace-and-replay executor: lifecycle, bit-identity with eager, fallback,
 the LRU trace cache, and the generated kernels that serve every validated
-no_grad replay."""
+no_grad replay.  Calls with gradients enabled always run eager."""
 
 import numpy as np
 import pytest
@@ -70,15 +70,50 @@ class TestLifecycle:
 
         def f(t, y):
             calls.append(t)
-            return y * 2.0 + 1.0
+            return y * 2.0 + time_tensor(t, y.data.shape)
 
         cf = CompiledFunction(f)
         y = Tensor(np.ones((2, 3)))
-        outs = [cf(t, y) for t in (0.0, 0.1, 0.2, 0.3)]
-        # trace + validate enter the Python function; replays do not
+        with no_grad():
+            outs = [cf(t, y) for t in (0.0, 0.1, 0.2, 0.3)]
+        # trace + validate enter the Python function; replays do not, yet
+        # each replay reads its own t
         assert calls == [0.0, 0.1]
-        for out in outs:
-            np.testing.assert_array_equal(out.data, np.full((2, 3), 3.0))
+        for t, out in zip((0.0, 0.1, 0.2, 0.3), outs):
+            np.testing.assert_array_equal(out.data, np.full((2, 3), 2.0 + t))
+
+    def test_grad_calls_run_eager(self, replay_mode, counters):
+        """A call with gradients enabled bypasses the trace cache: it
+        stores no entry, builds no trace, and leaves the eager tape, whose
+        gradients are bitwise those of the bare function.  ``no_grad``
+        calls on the same wrapper still trace, validate and lower."""
+        f, w1 = _mlp_rhs()
+        w1.requires_grad = True
+        cf = CompiledFunction(f)
+        y_np = np.linspace(-1.0, 1.0, 12).reshape(2, 6)
+
+        def run(fn, t):
+            w1.grad = None
+            y = Tensor(y_np, requires_grad=True)
+            out = fn(t, y)
+            out.backward(np.ones_like(out.data))
+            return out, y.grad, w1.grad
+
+        for t in (0.0, 0.1, 0.2, 0.3):
+            out, gy, gw = run(cf, t)
+            ref, ref_gy, ref_gw = run(f, t)
+            assert out._node.opcode == ref._node.opcode == "sub"
+            np.testing.assert_array_equal(out.data, ref.data)
+            np.testing.assert_array_equal(gy, ref_gy)
+            np.testing.assert_array_equal(gw, ref_gw)
+        assert not cf.entries
+        assert counters.counter("ir.trace_builds").value == 0
+        with no_grad():
+            for t in (0.0, 0.1, 0.2):
+                cf(t, Tensor(y_np))
+        (state, _), = cf.entries.values()
+        assert state == "codegen"
+        assert counters.counter("ir.trace_builds").value == 1
 
     def test_maybe_compile_is_identity_under_eager(self):
         prev = get_executor()
@@ -109,9 +144,11 @@ class TestLifecycle:
 
         cf = CompiledFunction(f)
         y = Tensor(np.ones((1, 2)))
-        for t in (0.0, 0.5, 1.0, 2.0):
-            out = cf(t, y)
-            np.testing.assert_array_equal(out.data, 1.0 + np.full((1, 2), t))
+        with no_grad():
+            for t in (0.0, 0.5, 1.0, 2.0):
+                out = cf(t, y)
+                np.testing.assert_array_equal(out.data,
+                                              1.0 + np.full((1, 2), t))
         # every call re-entered the function: the key is pinned to eager
         assert calls == [0.0, 0.5, 1.0, 2.0]
         (state, reason), = [v for v in cf.entries.values()]
@@ -125,8 +162,10 @@ class TestLifecycle:
 
         cf = CompiledFunction(f)
         y = Tensor(np.ones(3))
-        for _ in range(3):
-            np.testing.assert_array_equal(cf(0.0, y).data, np.full(3, 2.0))
+        with no_grad():
+            for _ in range(3):
+                np.testing.assert_array_equal(cf(0.0, y).data,
+                                              np.full(3, 2.0))
         (state, reason), = [v for v in cf.entries.values()]
         assert state == "eager"
 
@@ -137,8 +176,9 @@ class TestLifecycle:
         try:
             cf = CompiledFunction(lambda t, y: y * 3.0)
             y = Tensor(np.ones((2, 2)))
-            for t in (0.0, 0.1, 0.2, 0.3, 0.4):
-                cf(t, y)
+            with no_grad():
+                for t in (0.0, 0.1, 0.2, 0.3, 0.4):
+                    cf(t, y)
             assert reg.counter("ir.trace_builds").value == 1
             assert reg.counter("ir.replay_misses").value == 2
             assert reg.counter("ir.replay_hits").value == 3
@@ -154,10 +194,11 @@ class TestLifecycle:
             return y * 2.0
 
         cf = CompiledFunction(f)
-        for _ in range(3):
-            cf(0.0, Tensor(np.ones((2, 2))))
-        for _ in range(3):
-            cf(0.0, Tensor(np.ones((4, 2))))
+        with no_grad():
+            for _ in range(3):
+                cf(0.0, Tensor(np.ones((2, 2))))
+            for _ in range(3):
+                cf(0.0, Tensor(np.ones((4, 2))))
         assert calls == [(2, 2), (2, 2), (4, 2), (4, 2)]
         assert len(cf.entries) == 2
 
@@ -178,19 +219,6 @@ class TestLifecycle:
         assert state == "codegen"
         for out in outs:
             np.testing.assert_array_equal(out.data, np.full((2, 3), 3.0))
-
-    def test_grad_keys_stay_on_fat_node_replay(self, replay_mode):
-        f, w1 = _mlp_rhs()
-        w1.requires_grad = True
-        cf = CompiledFunction(f)
-        y = Tensor(np.ones((2, 6)), requires_grad=True)
-        for t in (0.0, 0.1, 0.2):
-            out = cf(t, y)
-        (state, graph), = cf.entries.values()
-        assert state == "ready"
-        assert graph.grad_mode
-        out.backward(np.ones_like(out.data))
-        assert w1.grad is not None and y.grad is not None
 
     def test_counters_and_source_log(self, replay_mode, counters):
         f, _ = _mlp_rhs()
@@ -340,22 +368,20 @@ class TestNoGradReplay:
 
 
 class TestBitIdentity:
-    """Eager and replay must agree bit for bit: values and leaf grads."""
+    """The generated kernel must equal eager bit for bit."""
 
-    def _run(self, mode, f, y_np, params, times):
+    def _run(self, mode, f, y_np, times):
         prev = get_executor()
         set_executor(mode)
         try:
-            for p in params:
-                p.grad = None
             fn = CompiledFunction(f) if mode == "replay" else f
-            records = []
-            for t in times:
-                y = Tensor(y_np.copy(), requires_grad=True)
-                out = fn(t, y)
-                out.sum().backward()
-                records.append((out.data.copy(), y.grad.copy()))
-            return records, [p.grad.copy() for p in params]
+            with no_grad():
+                outs = [fn(t, Tensor(y_np.copy())).data.copy()
+                        for t in times]
+            if mode == "replay":
+                (state, _), = fn.entries.values()
+                assert state == "codegen"    # the kernel ran, not eager
+            return outs
         finally:
             set_executor(prev)
 
@@ -374,8 +400,8 @@ class TestBitIdentity:
         else:
             b_np = data.draw(_arr((rows, cols)), label="b")
 
-        w = Tensor(w_np, requires_grad=True, name="w")
-        b = Tensor(b_np, requires_grad=True, name="b")
+        w = Tensor(w_np, name="w")
+        b = Tensor(b_np, name="b")
 
         def f(t, y):
             tt = time_tensor(t, (rows, cols))
@@ -385,48 +411,10 @@ class TestBitIdentity:
             return (s + z.tanh()).sum(axis=1, keepdims=True) + y * 0.0
 
         times = (0.0, 0.5, 0.5, 0.25)
-        eager, eager_p = self._run("eager", f, y_np, (w, b), times)
-        replay, replay_p = self._run("replay", f, y_np, (w, b), times)
-        for (eo, eg), (ro, rg) in zip(eager, replay):
+        eager = self._run("eager", f, y_np, times)
+        replay = self._run("replay", f, y_np, times)
+        for eo, ro in zip(eager, replay):
             np.testing.assert_array_equal(eo, ro)
-            np.testing.assert_array_equal(eg, rg)
-        for ep, rp in zip(eager_p, replay_p):
-            np.testing.assert_array_equal(ep, rp)
-
-    def test_shared_backward_sums_like_eager(self):
-        """Two replayed calls backpropagated together, each reading the
-        external ``w`` and its input twice: every tensor's gradient must
-        add its contributions one at a time in eager's order, not summed
-        per call first."""
-        rng = np.random.default_rng(5)
-        y_np = rng.normal(size=(4, 6))
-        w_np = rng.normal(size=(4, 6))
-
-        def run(mode):
-            prev = get_executor()
-            set_executor(mode)
-            try:
-                w = Tensor(w_np.copy(), requires_grad=True, name="w")
-
-                def f(t, y):
-                    return (y * w).tanh() * w + y * 0.3
-
-                fn = CompiledFunction(f) if mode == "replay" else f
-                warm = Tensor(y_np.copy(), requires_grad=True)
-                fn(0.0, warm)                   # trace
-                fn(0.1, warm)                   # validate
-                y0 = Tensor(y_np.copy(), requires_grad=True)
-                y1 = fn(0.2, y0)
-                y2 = fn(0.3, y1)
-                (y2 + y1 * y1).sum().backward()
-                return w.grad.copy(), y0.grad.copy()
-            finally:
-                set_executor(prev)
-
-        eager_w, eager_y = run("eager")
-        replay_w, replay_y = run("replay")
-        np.testing.assert_array_equal(eager_w, replay_w)
-        np.testing.assert_array_equal(eager_y, replay_y)
 
 
 def _dead_dup_readback(w):
@@ -444,8 +432,7 @@ def _dead_dup_readback(w):
 class TestTracesRunAsRecorded:
     """A compiled trace runs every recorded op in trace order: a dead op,
     a duplicate subexpression and an op that reads the output all execute
-    in the generated kernel and in the gradient replay, and both must
-    still equal eager bit for bit."""
+    in the generated kernel, which must still equal eager bit for bit."""
 
     def test_nograd_kernel_matches_eager(self, replay_mode):
         rng = np.random.default_rng(11)
@@ -462,98 +449,6 @@ class TestTracesRunAsRecorded:
         assert graph.out_buf == 8            # op 9 reads the output
         for got, want in zip(outs, expected):
             np.testing.assert_array_equal(got, want)
-
-    def test_grad_replay_matches_eager(self):
-        rng = np.random.default_rng(12)
-        ys = [rng.normal(size=(3, 4)) for _ in range(4)]
-        w_np = rng.normal(size=(3, 4))
-
-        def run(mode):
-            prev = get_executor()
-            set_executor(mode)
-            try:
-                w = Tensor(w_np.copy(), requires_grad=True, name="w")
-                f = _dead_dup_readback(w)
-                fn = CompiledFunction(f) if mode == "replay" else f
-                records = []
-                for k, y_np in enumerate(ys):
-                    y = Tensor(y_np.copy(), requires_grad=True)
-                    out = fn(0.1 * k, y)
-                    out.sum().backward()
-                    records.append((out.data.copy(), y.grad.copy()))
-                if mode == "replay":
-                    (state, _), = fn.entries.values()
-                    assert state == "ready"
-                return records, w.grad.copy()
-            finally:
-                set_executor(prev)
-
-        eager, eager_w = run("eager")
-        replay, replay_w = run("replay")
-        for (eo, eg), (ro, rg) in zip(eager, replay):
-            np.testing.assert_array_equal(eo, ro)
-            np.testing.assert_array_equal(eg, rg)
-        np.testing.assert_array_equal(eager_w, replay_w)
-
-
-class TestGradReplayAliasing:
-    """Regressions for the grad-path view-alias fix: ``replay_grad`` must
-    never hand out a view of live storage (an external's ``.data`` or the
-    caller's ``y`` array)."""
-
-    def test_grad_output_never_views_external(self, replay_mode):
-        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-
-        def f(t, y):
-            return w.transpose(0, 1)
-
-        cf = CompiledFunction(f)
-        y = Tensor(np.ones((2, 3)), requires_grad=True)
-        expected = np.arange(6.0).reshape(2, 3).T
-        for t in (0.0, 0.1, 0.2):
-            out = cf(t, y)                   # third call: fat-node replay
-        assert not np.shares_memory(out.data, w.data)
-        out.data[...] = -99.0                # must not corrupt the param
-        np.testing.assert_array_equal(w.data,
-                                      np.arange(6.0).reshape(2, 3))
-        later = cf(0.3, y)
-        np.testing.assert_array_equal(later.data, expected)
-        np.testing.assert_array_equal(f(0.3, y).data, expected)
-
-    def test_grad_output_never_views_input(self, replay_mode):
-        def f(t, y):
-            return y.transpose(0, 1)
-
-        cf = CompiledFunction(f)
-        y = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        for t in (0.0, 0.1, 0.2):
-            out = cf(t, y)
-        assert not np.shares_memory(out.data, y.data)
-        out.data[...] = -1.0
-        np.testing.assert_array_equal(y.data,
-                                      np.arange(6.0).reshape(2, 3))
-
-    def test_mutating_grad_output_keeps_later_replays_eager(
-            self, replay_mode):
-        """A trace ending in a view of an op that reads only a static
-        external: mutating the returned output in place must leave later
-        replays bit-identical to eager."""
-        A = Tensor(np.arange(6.0).reshape(2, 3))
-        mark_static(A)
-
-        def f(t, y):
-            return (A * 2.0).transpose(0, 1)
-
-        cf = CompiledFunction(f)
-        y = Tensor(np.ones((2, 3)), requires_grad=True)
-        expected = (np.arange(6.0).reshape(2, 3) * 2.0).T
-        for t in (0.0, 0.1, 0.2):
-            out = cf(t, y)
-        np.testing.assert_array_equal(out.data, expected)
-        out.data[...] = 7.0                  # caller scribbles on it
-        later = cf(0.3, y)
-        np.testing.assert_array_equal(later.data, expected)
-        np.testing.assert_array_equal(f(0.3, y).data, expected)
 
 
 def test_trace_cache_evicts_lru(replay_mode, counters, monkeypatch):
@@ -589,10 +484,10 @@ def test_trace_cache_evicts_lru(replay_mode, counters, monkeypatch):
        data=st.data())
 def test_replay_matches_eager_forward_and_backward(num_heads, batch,
                                                    p_solver, data):
-    """Replay must reproduce eager forward values and gradients bit for
-    bit for the DHS dynamics, for 1- and 2-head models, every p-solver,
-    across batch sizes (gradients go through the fat-node replay, the
-    no_grad forward through the generated kernel)."""
+    """The generated kernel must reproduce eager ``no_grad`` values bit
+    for bit for the DHS dynamics, for 1- and 2-head models, every
+    p-solver, across batch sizes.  (Gradients always come from the eager
+    tape, so there is no replayed backward to compare.)"""
     head_dim, n = 4, 6
     latent = head_dim * num_heads
     rng = np.random.default_rng(17)
@@ -605,28 +500,9 @@ def test_replay_matches_eager_forward_and_backward(num_heads, batch,
         for h in range(num_heads)
     ]
     s0 = data.draw(_arr((batch, latent)), label="s0")
-    out_grad = np.ones((batch, latent))
-    params = list(dyn.parameters())
-
-    def run(executor):
-        dyn.bind(contexts)                   # fresh epoch per run
-        s = Tensor(s0.copy(), requires_grad=True)
-        for p in params:
-            p.zero_grad()
-        if executor == "eager":
-            out = dyn(0.3, s)
-        else:
-            cf = CompiledFunction(dyn)
-            cf(0.3, s)                       # trace
-            cf(0.3, s)                       # validate
-            out = cf(0.3, s)                 # replay -> fat node
-        out.backward(out_grad)
-        grads = [None if p.grad is None else p.grad.copy()
-                 for p in (s, *params)]
-        return out.data.copy(), grads
 
     def run_nograd(executor):
-        dyn.bind(contexts)
+        dyn.bind(contexts)                   # fresh epoch per run
         s = Tensor(s0.copy())
         with no_grad():
             if executor == "eager":
@@ -634,23 +510,17 @@ def test_replay_matches_eager_forward_and_backward(num_heads, batch,
             cf = CompiledFunction(dyn)
             for _ in range(3):          # trace, validate, kernel
                 out = cf(0.3, s)
+            (state, _), = cf.entries.values()
+            assert state == "codegen"
             return out.data.copy()
 
     prev_exec = get_executor()
     try:
         set_executor("eager")
-        out_eager, grads_eager = run("eager")
         ng_eager = run_nograd("eager")
         set_executor("replay")
-        out_replay, grads_replay = run("replay")
         ng_replay = run_nograd("replay")
     finally:
         set_executor(prev_exec)
 
-    np.testing.assert_array_equal(out_eager, out_replay)
     np.testing.assert_array_equal(ng_eager, ng_replay)
-    assert len(grads_eager) == len(grads_replay)
-    for ge, gr in zip(grads_eager, grads_replay):
-        assert (ge is None) == (gr is None)
-        if ge is not None:
-            np.testing.assert_array_equal(ge, gr)

@@ -5,9 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.autodiff import (OPS, CompiledFunction, Tensor, concat, einsum,
-                            get_executor, gradcheck, no_grad, set_executor,
-                            stack)
+from repro.autodiff import (OPS, Tensor, concat, einsum, gradcheck,
+                            no_grad, stack)
 
 
 class TestScalarAndEmpty:
@@ -131,9 +130,8 @@ def _out_of_place_fold(root, grad, leaves):
         for parent, pgrad in zip(node.parents, parts):
             if pgrad is None or not parent.requires_grad:
                 continue
-            for part in pgrad if type(pgrad) is list else [pgrad]:
-                key = id(parent)
-                grads[key] = grads[key] + part if key in grads else part
+            key = id(parent)
+            grads[key] = grads[key] + pgrad if key in grads else pgrad
     return [grads.get(id(leaf)) for leaf in leaves]
 
 
@@ -164,9 +162,8 @@ def returned_grads(monkeypatch):
         def rule(g, ins, out, at, needs, _rule=spec.backward):
             result = _rule(g, ins, out, at, needs)
             for pgrad in result:
-                for part in pgrad if type(pgrad) is list else [pgrad]:
-                    if part is not None:
-                        seen.append((part, np.array(part)))
+                if pgrad is not None:
+                    seen.append((pgrad, np.array(pgrad)))
             return result
 
         monkeypatch.setitem(OPS, opcode,
@@ -180,12 +177,11 @@ class TestInPlaceAccumulation:
     Gradients must stay bitwise those of the allocating fold, and no
     forward array or rule-returned gradient may change."""
 
-    def _check(self, root, leaves, returned_grads, reference=None):
+    def _check(self, root, leaves, returned_grads):
         rng = np.random.default_rng(0)
         g = rng.normal(size=root.shape)
         forward = [(a, a.copy()) for a in _forward_arrays(root)]
-        if reference is None:
-            reference = _out_of_place_fold(root, g, leaves)
+        reference = _out_of_place_fold(root, g, leaves)
         del returned_grads[:]
         root.backward(g)
         for leaf, ref in zip(leaves, reference):
@@ -216,37 +212,3 @@ class TestInPlaceAccumulation:
         x = Tensor(2.0, requires_grad=True)
         out = x * x * x + x
         self._check(out, [x], returned_grads)
-
-    def test_replay_fat_node_parts(self, rng, returned_grads):
-        """Two chained replayed calls, each reading ``w`` and ``y`` twice:
-        the fat nodes' list parts accumulate in place, and the result is
-        bitwise the allocating fold over the same eager graph."""
-        y_np = rng.normal(size=(4, 6))
-        w_np = rng.normal(size=(4, 6))
-
-        def build(mode):
-            prev = get_executor()
-            set_executor(mode)
-            try:
-                w = Tensor(w_np.copy(), requires_grad=True)
-
-                def f(t, y):
-                    return (y * w).tanh() * w + y * 0.3
-
-                fn = CompiledFunction(f) if mode == "replay" else f
-                warm = Tensor(y_np.copy(), requires_grad=True)
-                fn(0.0, warm)                   # trace
-                fn(0.1, warm)                   # validate
-                y0 = Tensor(y_np.copy(), requires_grad=True)
-                y1 = fn(0.2, y0)
-                y2 = fn(0.3, y1)
-                return y2 + y1 * y1 + w, [w, y0], y2
-            finally:
-                set_executor(prev)
-
-        eager_root, eager_leaves, _ = build("eager")
-        g = np.random.default_rng(0).normal(size=eager_root.shape)
-        reference = _out_of_place_fold(eager_root, g, eager_leaves)
-        root, leaves, y2 = build("replay")
-        assert y2._node.opcode == "replay"
-        self._check(root, leaves, returned_grads, reference)

@@ -2,22 +2,19 @@
 them, whatever modes they measure under."""
 
 from repro import benchmarks
-from repro.autodiff import (get_checkpoint_grads, get_executor,
-                            set_checkpoint_grads, set_executor)
+from repro.autodiff import get_executor, set_executor
 
 
 def test_runners_restore_execution_modes():
-    prev = get_executor(), get_checkpoint_grads()
+    prev = get_executor()
     set_executor("replay")
-    set_checkpoint_grads("on")
     try:
         benchmarks._memory_mode_run("backprop", 5, 2, 1, 0)
-        assert (get_executor(), get_checkpoint_grads()) == ("replay", "on")
+        assert get_executor() == "replay"
         benchmarks._solve_ir("eager")
         assert get_executor() == "replay"
         set_executor("eager")
         benchmarks._solve_ir("replay")
-        assert (get_executor(), get_checkpoint_grads()) == ("eager", "on")
+        assert get_executor() == "eager"
     finally:
-        set_executor(prev[0])
-        set_checkpoint_grads(prev[1])
+        set_executor(prev)

@@ -15,8 +15,7 @@ import pathlib
 import pytest
 
 import repro.parallel
-from repro.autodiff import (get_checkpoint_grads, get_executor,
-                            set_checkpoint_grads, set_executor)
+from repro.autodiff import get_executor, set_executor
 from repro.autodiff.tensor import Tensor
 from repro.core import DiffODE, DiffODEConfig, dhs, model as model_mod, \
     streaming
@@ -80,16 +79,15 @@ def test_hooks_install_and_uninstall_cleanly(spans):
 def test_environment_reports_execution_modes(monkeypatch):
     run = _load(PERFBENCH / "run.py", "perfbench_run")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    prev = get_executor(), get_checkpoint_grads()
+    prev = get_executor()
     try:
         # the program's defaults, which perfbench measures
         set_executor("eager")
-        set_checkpoint_grads("off")
         env = run.environment()
         assert (env["executor"], env["ir_passes"], env["codegen"],
                 env["checkpoint_grads"]) == ("eager", "none", "off", "off")
         set_executor("replay")
-        assert run.environment()["codegen"] == "on"
+        env = run.environment()
+        assert (env["codegen"], env["checkpoint_grads"]) == ("on", "off")
     finally:
-        set_executor(prev[0])
-        set_checkpoint_grads(prev[1])
+        set_executor(prev)

@@ -86,9 +86,10 @@ class TestDiffODECheckpoint:
     def test_roundtrip_bitwise_under_every_executor(self, rng, tmp_path,
                                                     executor):
         """Loaded weights must reproduce outputs *bit-identically* even
-        when the RHS runs through the trace-replay executor, whose compiled
-        traces and generated kernels capture static tensors by reference."""
-        from repro.autodiff import get_executor, set_executor
+        when the RHS runs through the trace-replay executor, whose
+        generated kernels (``no_grad`` calls) capture static tensors by
+        reference."""
+        from repro.autodiff import get_executor, no_grad, set_executor
 
         model = DiffODE(self._config())
         path = tmp_path / "diffode.npz"
@@ -100,8 +101,11 @@ class TestDiffODECheckpoint:
         prev = get_executor()
         set_executor(executor)
         try:
-            out1 = model.forward_classification(values, times, mask).data
-            out2 = clone.forward_classification(values, times, mask).data
+            with no_grad():
+                out1 = model.forward_classification(values, times,
+                                                    mask).data
+                out2 = clone.forward_classification(values, times,
+                                                    mask).data
         finally:
             set_executor(prev)
         np.testing.assert_array_equal(out1, out2)
